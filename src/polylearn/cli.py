@@ -108,6 +108,9 @@ def load_matrix(path) -> PointMatrix:
                     raise ValueError(
                         f"{path}:{j + 2}: column {i + 1}: bad value {tok!r}"
                     ) from exc
+        for lineno, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise ValueError(f"{path}:{lineno}: data after the declared {n} columns")
     return PointMatrix(entries)
 
 
@@ -538,11 +541,12 @@ def _load_instance_dir(path) -> LkpInstance:
     base = Path(path)
     with open(base / "manifest.json") as fh:
         manifest = json.load(fh)
-    M = VPolytope(load_matrix(base / manifest["files"]["M"]))
-    P = load_matrix(base / manifest["files"]["P"])
-    A = load_matrix(base / manifest["files"]["A"])
-    w0 = manifest["w0"]
-    sigma0 = manifest["sigma0"]
+    try:
+        M, P, A = (load_matrix(base / manifest["files"][name]) for name in "MPA")
+        w0, sigma0 = manifest["w0"], manifest["sigma0"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{base / 'manifest.json'}: missing or bad entry {exc}") from exc
+    M = VPolytope(M)
     radius = sigma0 / math.sqrt(w0) + 1e-12 if sigma0 > 0 else 1e-12
     clusters = []
     V = M.vertices.entries

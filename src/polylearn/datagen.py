@@ -29,31 +29,24 @@ __all__ = [
 ]
 
 
-def spectral_norm(B: np.ndarray, tol: float = 1e-6, seed: int = 0, max_iter: int = 10_000) -> float:
-    """Largest singular value of B by seeded power iteration.
+def _gram_top_eigs(B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k singular values of B, descending, and eigenvectors of its smaller Gram.
 
-    Iterates v <- B^T B v until the Rayleigh estimate is stable to ``tol``
-    relative change.
+    The vectors are left singular vectors (of B B^T) when B has no more rows
+    than columns, else right ones (of B^T B).  Dividing B by max|B| first keeps
+    the Gram finite at any scale; squares of entries near 1e+-200 would not be.
     """
+    scale = float(np.max(np.abs(B)))
+    C = B / scale if scale > 0.0 else B
+    w, V = np.linalg.eigh(C @ C.T if C.shape[0] <= C.shape[1] else C.T @ C)
+    top = slice(-1, -k - 1, -1)
+    return scale * np.sqrt(np.clip(w[top], 0.0, None)), np.ascontiguousarray(V[:, top])
+
+
+def spectral_norm(B: np.ndarray) -> float:
+    """Largest singular value of B, from the exact eigendecomposition of its smaller Gram."""
     B = np.asarray(B, dtype=np.float64)
-    if B.size == 0 or not np.any(B):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(B.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        v = B.T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        new_sigma = np.linalg.norm(B @ v)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    return float(_gram_top_eigs(B, 1)[0][0]) if B.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +145,7 @@ def gen_lkp(
     clusters, so the radius clause holds with room to spare); the remaining
     latent points are Dirichlet(1,..,1) combinations of the vertices.
     Observations add i.i.d. Gaussian entries of scale ``noise_scale``;
-    sigma0 is then measured by power iteration.
+    sigma0 is then measured as an exact spectral norm.
     """
     k = M.count
     d = M.dim

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
-from .datagen import LkpInstance
+from .datagen import LkpInstance, _gram_top_eigs
 from .geometry import PointMatrix, VPolytope
 from .learner import ProbeSet, random_probes
 from .oracles import OracleAudit, SubsetSmoothingOracle, audit_answer
@@ -77,14 +77,13 @@ def svd_project(A, k: int) -> SvdProjection:
         raise ValueError("cannot project an empty matrix")
     if not (1 <= k <= min(d, n)):
         raise ValueError(f"k = {k} out of range [1, min(d, n) = {min(d, n)}]")
-    U, s, _ = np.linalg.svd(Am.entries, full_matrices=False)
-    basis = U[:, :k].copy()
-    for i in range(k):
-        j = int(np.argmax(np.abs(basis[:, i])))
-        if basis[j, i] < 0:
-            basis[:, i] = -basis[:, i]
+    s, V = _gram_top_eigs(Am.entries, k)
+    # Tall input yields right singular vectors: QR of A V normalizes the left
+    # ones and completes the columns with sigma = 0 orthonormally.
+    basis = V if d <= n else np.linalg.qr(Am.entries @ V)[0]
+    basis *= np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(k)])
     projected = PointMatrix(basis.T @ Am.entries)
-    return SvdProjection(basis=basis, projected=projected, singular_values=s[:k].copy())
+    return SvdProjection(basis=basis, projected=projected, singular_values=s)
 
 
 class PruneError(RuntimeError):
@@ -202,7 +201,6 @@ def prune_to_k(
     W,
     k: int,
     delta: float,
-    diam_hint: float | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> PointMatrix:
     """Reduce an answer cloud to exactly k representative points.
@@ -210,9 +208,7 @@ def prune_to_k(
     Runs soft-hull envelope extraction with parameters derived from delta
     (delta' = delta/4, eps' = 32*delta^2/c), retrying with the thinning
     radius doubled up to three times.  Raises PruneError with per-attempt
-    diagnostics when no attempt yields exactly k points.  ``diam_hint`` is
-    accepted for interface symmetry; the pruner measures the cloud diameter
-    itself.
+    diagnostics when no attempt yields exactly k points.
     """
     Wm = W if isinstance(W, PointMatrix) else PointMatrix(W)
     if k < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointMatrix, VPolytope, as_point_matrix, diameter, dist_to_hull
+from .geometry import VPolytope, as_point_matrix, diameter, dist_to_hull
 
 __all__ = [
     "OptOracle",
@@ -160,8 +160,9 @@ class SubsetSmoothingOracle(OptOracle):
     """Answers with the mean of the columns scoring highest along u.
 
     The subset size is ceil(fraction * n); score ties break toward lower
-    column indices.  Answers depend only on the ranking of u.A_j, so the
-    oracle is scale-equivariant in u and accepts any nonzero direction.
+    column indices.  Answers depend only on the selected set, whose columns
+    are averaged in index order, and the set only on the ranking of u.A_j, so
+    the oracle is scale-equivariant in u and accepts any nonzero finite direction.
     """
 
     def __init__(
@@ -184,24 +185,28 @@ class SubsetSmoothingOracle(OptOracle):
         self._diam = reference_diameter
 
     @property
-    def data(self) -> PointMatrix:
-        return self._data
-
-    @property
     def reference_diameter(self) -> float:
         if self._diam is None:
             self._diam = diameter(self._data)
         return self._diam
 
     def top_indices(self, u) -> np.ndarray:
+        """Indices of the subset_size columns scoring highest along u, ascending."""
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         if u.shape[0] != self.dim:
             raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("query direction must be finite")
         if not np.any(u):
             raise ValueError("query direction must be nonzero")
         scores = u @ self._data.entries
-        order = np.argsort(-scores, kind="stable")
-        return order[: self.subset_size]
+        # The stable sorted prefix by O(n) selection: every score above the
+        # subset_size-th largest, then the lowest-index columns tying with it.
+        cut = scores.size - self.subset_size
+        kth = np.partition(scores, cut)[cut]
+        chosen = scores > kth
+        chosen[np.flatnonzero(scores == kth)[: self.subset_size - chosen.sum()]] = True
+        return np.flatnonzero(chosen)
 
     def query(self, u) -> np.ndarray:
         idx = self.top_indices(u)

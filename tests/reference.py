@@ -3,7 +3,8 @@
 Nothing here shares code with the solvers under test.  The grid search and
 the face-enumeration QP both compute hull distances by entirely different
 means than the Frank-Wolfe solver; the boundary sampler measures Hausdorff
-distance without ever calling the library's implementation.
+distance without ever calling the library's implementation; the subset
+selection sorts where the oracle selects.
 """
 
 from __future__ import annotations
@@ -11,6 +12,16 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+
+def stable_top_indices(scores, size: int) -> np.ndarray:
+    """Indices of the ``size`` highest scores, ties toward lower indices, ascending.
+
+    The sorted-prefix definition of subset smoothing's selection: the first
+    ``size`` entries of a stable descending argsort.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return np.sort(order[:size])
 
 
 def simplex_grid(k: int, steps: int) -> np.ndarray:

@@ -48,6 +48,32 @@ def test_matrix_parse_errors(tmp_path):
         load_matrix(p)
 
 
+def test_matrix_rejects_data_after_declared_columns(tmp_path, capsys):
+    p = tmp_path / "extra.mat"
+    p.write_text("dims 2 2\n1.0 2.0\n3.0 4.0\n\n5.0 6.0\n")
+    with pytest.raises(ValueError, match=r"extra\.mat:5:"):
+        load_matrix(p)
+    code = run_cli(
+        ["softhull", "--points", p, "--epsilon", 0.02, "--delta", 0.5, "--eps3", 0.08,
+         "--out", tmp_path / "r.json"]
+    )
+    assert code == 2
+    assert "extra.mat:5:" in capsys.readouterr().err
+    p.write_text("dims 2 2\n1.0 2.0\n3.0 4.0\n\n   \n")  # trailing blank lines are fine
+    assert np.array_equal(load_matrix(p).entries, [[1.0, 3.0], [2.0, 4.0]])
+
+
+def test_audit_oracle_manifest_missing_key_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    manifest = {"files": {"P": "P.mat", "A": "A.mat"}, "w0": 0.1, "sigma0": 0.0}
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli(["audit-oracle", "--dir", data_dir, "--out", tmp_path / "r.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "'M'" in err
+
+
 def test_gen_two_gaussian_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

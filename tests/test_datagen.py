@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylearn import (
     LkpInstance,
@@ -24,6 +26,38 @@ def test_spectral_norm_matches_dense_svd():
         dense = float(np.linalg.svd(B, compute_uv=False)[0])
         assert spectral_norm(B) == pytest.approx(dense, rel=1e-4)
     assert spectral_norm(np.zeros((4, 7))) == 0.0
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 30),
+    rank=st.integers(0, 30),
+    exponent=st.integers(-200, 200),
+)
+def test_spectral_norm_exact_across_scales_and_shapes(seed, rows, cols, rank, exponent):
+    # Wide, tall and rank-deficient B (a product through `rank` inner
+    # columns), with entries scaled to 10**exponent; rank 0 is the zero matrix.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    B = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    B *= 10.0**exponent
+    expected = float(np.linalg.norm(B, 2))
+    assert spectral_norm(B) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_spectral_norm_extreme_scales_and_zero():
+    B = np.random.default_rng(1).standard_normal((7, 40))
+    for scale in (1e-200, 1e-150, 1e-75, 1.0, 1e75, 1e150, 1e200):
+        assert spectral_norm(scale * B) == pytest.approx(
+            float(np.linalg.norm(scale * B, 2)), rel=1e-12
+        )
+        assert spectral_norm(scale * B.T) == pytest.approx(
+            float(np.linalg.norm(scale * B, 2)), rel=1e-12
+        )
+    for shape in ((4, 7), (7, 4), (1, 1), (0, 3)):
+        assert spectral_norm(np.zeros(shape)) == 0.0
 
 
 def test_gen_polytope_k2_and_target():

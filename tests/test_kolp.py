@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from polylearn import (
@@ -81,6 +83,54 @@ def test_svd_k_out_of_range():
         svd_project(A, 4)
     with pytest.raises(ValueError):
         svd_project(A, 0)
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 9),
+    n=st.integers(1, 9),
+    rank=st.integers(0, 9),
+    k=st.integers(1, 9),
+    exponent=st.integers(-200, 200),
+)
+def test_svd_projector_matches_dense_svd(seed, d, n, rank, k, exponent):
+    # A = U diag(s) V^T with distinct singular values spread over [0.3, 1]
+    # (so each top-k subspace is well defined) and zeros past the rank.
+    rng = np.random.default_rng(seed)
+    rank, k = min(rank, d, n), min(k, d, n)
+    s = np.linspace(1.0, 0.3, rank) if rank > 1 else np.ones(rank)
+    U, V = _orthonormal(rng, d, rank), _orthonormal(rng, n, rank)
+    A = (U * s) @ V.T * 10.0**exponent
+    proj = svd_project(A, k)
+    P = proj.basis @ proj.basis.T
+    assert np.allclose(proj.basis.T @ proj.basis, np.eye(k), rtol=0.0, atol=1e-12)
+    Ud = np.linalg.svd(A, full_matrices=False)[0]
+    if k <= rank:
+        assert np.abs(P - Ud[:, :k] @ Ud[:, :k].T).max() <= 1e-12
+        assert np.allclose(proj.singular_values, s[:k] * 10.0**exponent, rtol=1e-12, atol=0.0)
+    else:
+        # Beyond the rank the dense basis is arbitrary: the projector must
+        # contain the range of A and reproduce A exactly.
+        assert np.allclose(P @ U, U, rtol=0.0, atol=1e-12)
+        reconstructed = proj.basis @ proj.projected.entries
+        assert np.allclose(reconstructed, A, rtol=0.0, atol=1e-12 * 10.0**exponent)
+        assert np.all(proj.singular_values[rank:] <= 1e-7 * 10.0**exponent)
+
+
+def test_svd_projector_wide_and_tall_data():
+    rng = np.random.default_rng(4)
+    for shape, k in (((12, 300), 4), ((300, 12), 4), ((300, 12), 12), ((40, 40), 5)):
+        A = rng.standard_normal(shape)
+        proj = svd_project(A, k)
+        Ud, sd, _ = np.linalg.svd(A, full_matrices=False)
+        P = proj.basis @ proj.basis.T
+        assert np.abs(P - Ud[:, :k] @ Ud[:, :k].T).max() <= 1e-12
+        assert np.allclose(proj.singular_values, sd[:k], rtol=1e-12, atol=0.0)
 
 
 def test_prune_exact_triangle_probes():

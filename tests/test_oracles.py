@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylearn import (
     VPolytope,
@@ -15,6 +17,7 @@ from polylearn import (
     noisy_oracle,
     subset_smoothing_oracle,
 )
+from reference import stable_top_indices
 
 
 def _unit(rng, d):
@@ -142,6 +145,65 @@ def test_subset_smoothing_answer_in_hull():
         u = _unit(rng, 3)
         d, _ = dist_to_hull(oracle.query(u), A, tol=1e-8)
         assert d <= 1e-7
+
+
+def test_subset_smoothing_rejects_non_finite_direction():
+    oracle = subset_smoothing_oracle(np.eye(3), fraction=0.5)
+    for bad in ([np.inf, 0.0, 0.0], [1.0, np.nan, 0.0], [-np.inf, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            oracle.top_indices(np.array(bad))
+        with pytest.raises(ValueError, match="finite"):
+            oracle.query(np.array(bad))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    n=st.integers(1, 60),
+    levels=st.integers(1, 5),
+    fraction=st.floats(0.01, 1.0),
+)
+def test_subset_smoothing_selection_matches_stable_sort(seed, d, n, levels, fraction):
+    # Entries from a few integer levels make many scores tie, also at the cut.
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-levels, levels + 1, size=(d, n)).astype(np.float64)
+    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    for _ in range(5):
+        u = rng.integers(-2, 3, size=d).astype(np.float64)
+        if not np.any(u):
+            continue
+        picked = oracle.top_indices(u)
+        assert picked.size == oracle.subset_size
+        assert np.array_equal(picked, stable_top_indices(u @ A, oracle.subset_size))
+
+
+def test_subset_smoothing_boundary_ties_take_lowest_indices():
+    scores = np.array([5.0, 1.0, 3.0, 3.0, 0.0, 3.0, 7.0, 3.0])
+    for size in range(1, scores.size + 1):
+        oracle = subset_smoothing_oracle(scores[None, :], fraction=size / scores.size)
+        assert oracle.subset_size == size
+        assert np.array_equal(
+            oracle.top_indices(np.array([1.0])), stable_top_indices(scores, size)
+        )
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), k=st.integers(2, 5))
+def test_subset_smoothing_answer_depends_only_on_selected_set(seed, d, k):
+    # k tight clusters of 30 columns and a subset size of 30: most directions
+    # select one whole cluster, each in its own score order.  Every distinct
+    # subset must still give exactly one answer.
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((d, k))
+    A = np.repeat(centers, 30, axis=1) + 1e-3 * rng.standard_normal((d, 30 * k))
+    oracle = subset_smoothing_oracle(A, fraction=1.0 / k)
+    answers: dict[bytes, np.ndarray] = {}
+    for _ in range(200):
+        u = rng.standard_normal(d)
+        x = answers.setdefault(oracle.top_indices(u).tobytes(), oracle.query(u))
+        assert np.array_equal(x, oracle.query(u))
+    assert len(answers) < 200
 
 
 def test_subset_smoothing_lkp_audit():
