@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_CONSTANTS, Constants
 from .datagen import LkpInstance, _gram_top_eigs
 from .geometry import PointMatrix, VPolytope
-from .learner import ProbeSet, random_probes
+from .learner import ProbeSet, _unit_directions, random_probes
 from .oracles import OracleAudit, SubsetSmoothingOracle, audit_answer
 from .softhull import EnvelopeParams, find_soft_envelope
 
@@ -338,14 +338,12 @@ def audit_projected_oracle(
         else 0.0
     )
     tol = 1e-8 * max(delta_k, 1.0)
-    rng = np.random.default_rng(seed)
+    U = _unit_directions(np.random.default_rng(seed), trials, instance.k, None)
+    answers = oracle.query_batch(U)
     passes = 0
     worst_containment = -math.inf
     worst_optimality = math.inf
-    for _ in range(trials):
-        g = rng.standard_normal(instance.k)
-        u = g / np.linalg.norm(g)
-        x = oracle.query(u)
+    for u, x in zip(U, answers.T):
         audit: OracleAudit = audit_answer(
             K_hat, u, x, eps, tol=tol, reference_diameter=delta_k, dist_tol=1e-10
         )

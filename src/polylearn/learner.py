@@ -115,12 +115,7 @@ def random_probes(
         raise ValueError(f"dim {dim} does not match oracle dim {oracle.dim}")
     rng = np.random.default_rng(seed)
     U = _unit_directions(rng, m, dim, subspace)
-    answers = np.empty((dim, m))
-    for i in range(m):
-        try:
-            answers[:, i] = oracle.query(U[i])
-        except Exception as exc:
-            raise RuntimeError(f"oracle failed on probe {i}: {exc}") from exc
+    answers = oracle.query_batch(U)
     return ProbeSet(PointMatrix(U.T), PointMatrix(answers), seed)
 
 

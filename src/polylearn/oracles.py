@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -51,6 +50,13 @@ def _check_unit(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _direction_rows(U, dim: int) -> np.ndarray:
+    U = np.asarray(U, dtype=np.float64)
+    if U.ndim != 2 or U.shape[1] != dim:
+        raise ValueError(f"query directions must form an m x {dim} array, got shape {U.shape}")
+    return U
+
+
 class OptOracle(ABC):
     """Query interface: unit direction -> point, with an advertised guarantee.
 
@@ -68,6 +74,21 @@ class OptOracle(ABC):
 
     @abstractmethod
     def query(self, u) -> np.ndarray: ...
+
+    def query_batch(self, U) -> np.ndarray:
+        """Answer each row of the m x dim array U; returns the dim x m answers.
+
+        Row i's answer equals ``query(U[i])``.  A failing row raises
+        RuntimeError naming it.
+        """
+        U = _direction_rows(U, self.dim)
+        answers = np.empty((self.dim, U.shape[0]))
+        for i, u in enumerate(U):
+            try:
+                answers[:, i] = self.query(u)
+            except Exception as exc:
+                raise RuntimeError(f"oracle failed on probe {i}: {exc}") from exc
+        return answers
 
 
 class ExactOracle(OptOracle):
@@ -103,8 +124,10 @@ class NoisyOracle(OptOracle):
 
     A ball perturbation around a vertex answer keeps both oracle clauses
     valid; a post-hoc check still shrinks the perturbation if floating point
-    ever lands an answer outside the advertised contract.  Answers are a
-    pure function of (query bits, seed), independent of call order.
+    ever lands an answer outside the advertised contract.  If 8 halvings do
+    not bring it back, the oracle silently returns the exact vertex, which
+    meets the contract at any epsilon.  Answers are a pure function of
+    (query bits, seed), independent of call order.
     """
 
     def __init__(self, K: VPolytope, epsilon: float, seed: int):
@@ -190,34 +213,72 @@ class SubsetSmoothingOracle(OptOracle):
             self._diam = diameter(self._data)
         return self._diam
 
+    def _selections(self, U):
+        """Yield (start, chosen) per block of U's rows: the block's b x n selection masks.
+
+        Row r of a block selects every column scoring above the
+        subset_size-th largest score, then the lowest-index columns tying
+        with it: the stable sorted prefix, found by O(n) selection.
+        """
+        U = _direction_rows(U, self.dim)
+        A = self._data.entries
+        n = A.shape[1]
+        size = self.subset_size
+        cut = n - size
+        block = max(1, 2**16 // n)
+        S = np.empty((min(block, U.shape[0]), n))
+        for start in range(0, U.shape[0], block):
+            rows = U[start : start + block]
+            for what, ok in (("finite", np.isfinite(rows).all(axis=1)), ("nonzero", rows.any(axis=1))):
+                if not ok.all():
+                    raise ValueError(f"query direction {start + int(np.argmin(ok))} must be {what}")
+            scores = S[: rows.shape[0]]
+            # One matrix-vector product per row, never one matrix product for
+            # the block: gemm scores differ from gemv ones in the last bits,
+            # which would move near-tie selections with the batch size.
+            for r, u in enumerate(rows):
+                np.matmul(u, A, out=scores[r])
+            kth = np.partition(scores, cut, axis=1)[:, cut, None]
+            chosen = scores >= kth
+            for r in np.flatnonzero(chosen.sum(axis=1) > size):
+                row, k = chosen[r], kth[r, 0]
+                row[:] = scores[r] > k
+                row[np.flatnonzero(scores[r] == k)[: size - row.sum()]] = True
+            yield start, chosen
+
     def top_indices(self, u) -> np.ndarray:
         """Indices of the subset_size columns scoring highest along u, ascending."""
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if u.shape[0] != self.dim:
-            raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("query direction must be finite")
-        if not np.any(u):
-            raise ValueError("query direction must be nonzero")
-        scores = u @ self._data.entries
-        # The stable sorted prefix by O(n) selection: every score above the
-        # subset_size-th largest, then the lowest-index columns tying with it.
-        cut = scores.size - self.subset_size
-        kth = np.partition(scores, cut)[cut]
-        chosen = scores > kth
-        chosen[np.flatnonzero(scores == kth)[: self.subset_size - chosen.sum()]] = True
-        return np.flatnonzero(chosen)
+        ((_, chosen),) = self._selections(np.reshape(u, (1, -1)))
+        return np.flatnonzero(chosen[0])
 
     def query(self, u) -> np.ndarray:
-        idx = self.top_indices(u)
-        return self._data.entries[:, idx].mean(axis=1)
+        return self.query_batch(np.reshape(u, (1, -1)))[:, 0]
+
+    def query_batch(self, U) -> np.ndarray:
+        """Answer each row of U with the mean of its selected columns, in index order.
+
+        Each distinct selected set is averaged once per call, so answers do
+        not depend on the batch size or the row order.  An invalid row raises
+        ValueError naming it.
+        """
+        U = _direction_rows(U, self.dim)
+        A = self._data.entries
+        answers = np.empty((self.dim, U.shape[0]))
+        means: dict[bytes, np.ndarray] = {}
+        for start, chosen in self._selections(U):
+            for r, key in enumerate(np.packbits(chosen, axis=1)):
+                key = key.tobytes()
+                if key not in means:
+                    means[key] = A[:, np.flatnonzero(chosen[r])].mean(axis=1)
+                answers[:, start + r] = means[key]
+        return answers
 
 
 class NeedleOracle(OptOracle):
     """Adversarial oracle refusing information: every answer is the zero vector.
 
-    All queries are recorded (float32 rows, appends serialized by a lock) so
-    that consistent needle directions can be constructed afterwards.
+    All queries are recorded as float32 rows so that consistent needle
+    directions can be constructed afterwards.
     """
 
     def __init__(self, dim: int):
@@ -226,7 +287,6 @@ class NeedleOracle(OptOracle):
         self.dim = int(dim)
         self.advertised_epsilon = 8.0 * math.log(dim) / math.sqrt(dim)
         self._log: list[np.ndarray] = []
-        self._lock = threading.Lock()
 
     @property
     def reference_diameter(self) -> float:
@@ -234,22 +294,19 @@ class NeedleOracle(OptOracle):
 
     @property
     def queries(self) -> np.ndarray:
-        with self._lock:
-            if not self._log:
-                return np.zeros((0, self.dim), dtype=np.float32)
-            return np.stack(self._log)
+        if not self._log:
+            return np.zeros((0, self.dim), dtype=np.float32)
+        return np.stack(self._log)
 
     @property
     def query_count(self) -> int:
-        with self._lock:
-            return len(self._log)
+        return len(self._log)
 
     def query(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         if u.shape[0] != self.dim:
             raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        with self._lock:
-            self._log.append(u.astype(np.float32))
+        self._log.append(u.astype(np.float32))
         return np.zeros(self.dim)
 
 

@@ -19,6 +19,7 @@ from polylearn import (
     prune_to_k,
     random_probes,
     spectral_norm,
+    subset_smoothing_oracle,
     svd_project,
     well_separation,
 )
@@ -131,6 +132,16 @@ def test_svd_projector_wide_and_tall_data():
         P = proj.basis @ proj.basis.T
         assert np.abs(P - Ud[:, :k] @ Ud[:, :k].T).max() <= 1e-12
         assert np.allclose(proj.singular_values, sd[:k], rtol=1e-12, atol=0.0)
+
+
+def test_random_probes_batch_equals_single_queries_on_lkp():
+    # Many probes share a selected set; each must still get that set's own mean.
+    inst = small_instance(seed=18)
+    proj = svd_project(inst.A, 3)
+    oracle = subset_smoothing_oracle(proj.projected, fraction=inst.w0)
+    probes = random_probes(oracle, 400, seed=19)
+    single = [oracle.query(u) for u in probes.directions.entries.T]
+    assert np.array_equal(probes.answers.entries, np.column_stack(single))
 
 
 def test_prune_exact_triangle_probes():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polylearn import (
+    OptOracle,
     PointMatrix,
     VPolytope,
     dist_to_hull,
@@ -68,7 +69,7 @@ def test_probe_subspace_sampling():
 
 
 def test_probe_oracle_failure_carries_index():
-    class Flaky:
+    class Flaky(OptOracle):
         dim = 2
         advertised_epsilon = 0.0
         reference_diameter = 1.0

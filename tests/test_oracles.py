@@ -206,6 +206,71 @@ def test_subset_smoothing_answer_depends_only_on_selected_set(seed, d, k):
     assert len(answers) < 200
 
 
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    n=st.integers(3300, 5000),
+    levels=st.integers(1, 5),
+    fraction=st.floats(0.01, 1.0),
+)
+def test_subset_smoothing_batch_matches_single_queries(seed, d, n, levels, fraction):
+    # Integer data and directions tie many scores at the cut; 40 rows span
+    # at least 3 selection blocks of 2**16 // n rows.
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-levels, levels + 1, size=(d, n)).astype(np.float64)
+    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    U = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
+    U[~U.any(axis=1), 0] = 1.0
+    X = oracle.query_batch(U)
+    assert X.shape == (d, 40)
+    for i, u in enumerate(U):
+        picked = oracle.top_indices(u)
+        assert np.array_equal(picked, stable_top_indices(u @ A, oracle.subset_size))
+        assert np.array_equal(X[:, i], oracle.query(u))
+        assert np.array_equal(X[:, i], A[:, picked].mean(axis=1))
+    perm = rng.permutation(40)
+    assert np.array_equal(oracle.query_batch(U[perm]), X[:, perm])
+
+
+def test_subset_smoothing_batch_errors_name_the_row():
+    oracle = subset_smoothing_oracle(np.eye(3), fraction=0.5)
+    U = np.ones((30, 3))
+    U[17, 1] = np.nan
+    with pytest.raises(ValueError, match="direction 17 must be finite"):
+        oracle.query_batch(U)
+    U[17] = 0.0
+    with pytest.raises(ValueError, match="direction 17 must be nonzero"):
+        oracle.query_batch(U)
+    with pytest.raises(ValueError, match="m x 3"):
+        oracle.query_batch(np.ones((4, 2)))
+
+
+def test_default_query_batch_matches_single_queries():
+    rng = np.random.default_rng(13)
+    K = VPolytope(rng.standard_normal((4, 7)))
+    U = rng.standard_normal((50, 4))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for oracle in (exact_oracle(K), noisy_oracle(K, 0.05, seed=14)):
+        X = oracle.query_batch(U)
+        assert np.array_equal(X, np.column_stack([oracle.query(u) for u in U]))
+
+
+def test_noisy_oracle_fallback_answer_meets_contract():
+    # A perturbation that 8 halvings cannot bring inside the budget makes the
+    # oracle fall back to the exact vertex, which passes the audit.
+    rng = np.random.default_rng(15)
+    K = VPolytope(rng.standard_normal((3, 5)))
+    eps = 0.01
+    oracle = noisy_oracle(K, eps, seed=16)
+    oracle._perturbation = lambda u: -1e3 * eps * K.diameter() * u
+    for _ in range(20):
+        u = _unit(rng, 3)
+        x = oracle.query(u)
+        assert np.array_equal(x, exact_oracle(K).query(u))
+        assert audit_answer(K, u, x, epsilon=eps, tol=1e-9).passed
+
+
 def test_subset_smoothing_lkp_audit():
     # data-backed oracle audits against the true polytope with
     # eps = 4*sigma0/(diam*sqrt(w0)) on 1000 random directions
