@@ -94,6 +94,14 @@ def _unit_directions(
     return U / norms
 
 
+def _nearest_distances(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Distance from each column of V to its nearest column of X."""
+    sq_v = np.einsum("ij,ij->j", V, V)
+    sq_x = np.einsum("ij,ij->j", X, X)
+    d2 = sq_v[:, None] + sq_x[None, :] - 2.0 * (V.T @ X)
+    return np.sqrt(np.clip(d2.min(axis=1), 0.0, None))
+
+
 def random_probes(
     oracle: OptOracle,
     m: int,
@@ -225,12 +233,7 @@ def list_learn(
     per_vertex = None
     success = None
     if truth is not None:
-        V = truth.vertices.entries
-        X = probes.answers.entries
-        sq_v = np.einsum("ij,ij->j", V, V)
-        sq_x = np.einsum("ij,ij->j", X, X)
-        d2 = sq_v[:, None] + sq_x[None, :] - 2.0 * (V.T @ X)
-        per_vertex = np.sqrt(np.clip(d2.min(axis=1), 0.0, None))
+        per_vertex = _nearest_distances(truth.vertices.entries, probes.answers.entries)
         success = bool(per_vertex.max() <= delta * truth.diameter() / 10.0)
     return probes, LearnReport(
         query_count=m,

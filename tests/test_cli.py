@@ -35,6 +35,20 @@ def test_matrix_round_trip(tmp_path):
         assert fh.readline().strip() == "dims 7 13"
 
 
+def test_save_matrix_exact_bytes(tmp_path):
+    path = tmp_path / "m.mat"
+    save_matrix(path, PointMatrix(np.array([[-0.0, 5e-324, 1e300], [1e-300, -1e300, 0.1]])))
+    assert path.read_bytes() == (
+        b"dims 2 3\n"
+        b"-0 1e-300\n"
+        b"4.9406564584124654e-324 -1.0000000000000001e+300\n"
+        b"1.0000000000000001e+300 0.10000000000000001\n"
+    )
+    save_matrix(path, PointMatrix(np.zeros((3, 0))))
+    assert path.read_bytes() == b"dims 3 0\n"
+    assert load_matrix(path).entries.shape == (3, 0)
+
+
 def test_matrix_parse_errors(tmp_path):
     p = tmp_path / "bad.mat"
     p.write_text("dims 2 2\n1.0 2.0\n")
@@ -46,6 +60,15 @@ def test_matrix_parse_errors(tmp_path):
     p.write_text("hello\n")
     with pytest.raises(ValueError, match=":1:"):
         load_matrix(p)
+    for header in ("dims 0 2", "dims -1 2", "dims 2 -1", "dims 1 100000000000000",
+                   "dims 1 10000000000000000000"):
+        p.write_text(header + "\n")
+        with pytest.raises(ValueError, match=r"bad\.mat:1:"):
+            load_matrix(p)
+    for token in ("nan", "inf", "-Infinity"):
+        p.write_text(f"dims 2 2\n1.0 2.0\n3.0 {token}\n")
+        with pytest.raises(ValueError, match=r"bad\.mat:3: column 2"):
+            load_matrix(p)
 
 
 def test_matrix_rejects_data_after_declared_columns(tmp_path, capsys):
@@ -257,3 +280,196 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = load_report(rpt)
     assert rep["results"]["q_indices"] == [0, 5]
+
+
+def _gen_lkp(out):
+    assert run_cli(
+        ["gen", "--kind", "lkp", "--d", 15, "--k", 3, "--n", 450, "--w0", 0.1,
+         "--noise-scale", 3e-5, "--delta-target", 0.6, "--seed", 17, "--out", out]
+    ) == 0
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_matrix_file_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / "K.mat"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe\x00dims 2 1\n")
+    for args in (
+        ["rsh-estimate", "--vertices", bad, "--delta", 1.0],
+        ["kolp", "--data", bad, "--k", 3, "--w0", 0.1, "--delta", 0.3],
+    ):
+        assert run_cli(args + ["--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+
+def test_audit_oracle_invalid_manifest_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "manifest.json").write_text('{"files": {"M": "M.mat",')
+    assert run_cli(["audit-oracle", "--dir", data_dir, "--out", tmp_path / "r.json"]) == 2
+    assert str(data_dir / "manifest.json") in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def lkp_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lkp")
+    _gen_lkp(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("w0", "0.1"), ("w0", -0.1), ("w0", 0.0), ("w0", 1.5), ("w0", float("nan")),
+     ("w0", True), ("sigma0", "x"), ("sigma0", -1.0), ("sigma0", float("inf"))],
+)
+def test_audit_oracle_bad_manifest_numbers_exit_2(tmp_path, capsys, lkp_dir, key, value):
+    manifest = json.loads((lkp_dir / "manifest.json").read_text())
+    manifest["files"] = {k: str(lkp_dir / v) for k, v in manifest["files"].items()}
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli(["audit-oracle", "--dir", tmp_path, "--trials", 10,
+                    "--out", tmp_path / "r.json"])
+    assert code == 2
+    assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
+
+def _segment_and_point(tmp_path, point_entries, name="a.mat"):
+    vertices = tmp_path / "K.mat"
+    save_matrix(vertices, PointMatrix(np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])))
+    point = tmp_path / name
+    save_matrix(point, PointMatrix(np.asarray(point_entries, dtype=float)))
+    return vertices, point
+
+
+@pytest.mark.parametrize("columns", [0, 2])
+def test_point_file_must_hold_one_column(tmp_path, capsys, columns):
+    vertices, point = _segment_and_point(tmp_path, np.ones((3, columns)))
+    for command in ("rsh-estimate", "sep-reduce"):
+        code = run_cli([command, "--vertices", vertices, "--point", point, "--delta", 1.0,
+                        "--out", tmp_path / "r.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(point) in err and "Traceback" not in err
+
+
+def test_config_records_point(tmp_path):
+    configs = []
+    for name, entries in (("a.mat", [[0.0], [1.0], [0.0]]), ("b.mat", [[0.5], [1.0], [0.0]])):
+        vertices, point = _segment_and_point(tmp_path, entries, name)
+        rpt = tmp_path / f"{name}.json"
+        assert run_cli(["rsh-estimate", "--vertices", vertices, "--point", point,
+                        "--delta", 1.0, "--trials", 2000, "--seed", 1, "--out", rpt]) == 0
+        configs.append(load_report(rpt)["config"])
+    assert configs[0] != configs[1]
+    assert configs[0]["point"] == str(tmp_path / "a.mat")
+
+
+@pytest.mark.parametrize("command", ["haus-learn", "list-learn"])
+def test_learners_have_no_point_flag(tmp_path, command):
+    _, point = _segment_and_point(tmp_path, [[0.0], [1.0], [0.0]])
+    args = [command, "--fixture", "example1-segment", "--probes", 50]
+    args += ["--delta", 0.9] if command == "list-learn" else []
+    assert run_cli(args + ["--out", tmp_path / "r.json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--point", point])
+    assert exc.value.code == 2
+
+
+GEN_CONFIG = {"kind", "d", "k", "n", "w0", "noise_scale", "v_norm", "delta_target"}
+REPORT_SCHEMA = {
+    "gen": dict(
+        config=GEN_CONFIG,
+        results={"kind", "seed", "d", "k", "n", "w0", "sigma0", "diameter", "separation"},
+        theory_bounds=set(),
+        timing_sec={"generate", "write"},
+    ),
+    "fixtures": dict(config=set(), results={"fixtures"}, theory_bounds=set(),
+                     timing_sec={"write"}),
+    "rsh-estimate": dict(
+        config={"fixture", "vertices", "point", "delta", "subspace_dim", "trials"},
+        results={"trials", "successes", "empirical_probability", "wilson99_lower",
+                 "wilson99_upper", "margin_threshold_factor", "comparison_value",
+                 "comparison_basis", "bound_satisfied", "vertex_count", "subspace_dim"},
+        theory_bounds={"success_probability_lower_bound", "formula"},
+        timing_sec={"estimate"},
+    ),
+    "sep-reduce": dict(
+        config={"fixture", "vertices", "point", "delta", "oracle", "epsilon", "queries"},
+        results={"verdict", "queries_used", "query_budget", "separator", "observed_margin",
+                 "true_margin", "margin_certified"},
+        theory_bounds={"certified_margin", "formula"},
+        timing_sec={"reduce"},
+    ),
+    "haus-learn": dict(
+        config={"fixture", "vertices", "oracle", "epsilon", "probes"},
+        results={"query_count", "hausdorff_to_truth", "relative_hausdorff", "diameter"},
+        theory_bounds=set(),
+        timing_sec={"learn"},
+    ),
+    "list-learn": dict(
+        config={"fixture", "vertices", "oracle", "epsilon", "probes", "k", "delta"},
+        results={"query_count", "per_vertex_error", "max_vertex_error", "success"},
+        theory_bounds={"per_vertex_target", "formula", "recommended_query_count"},
+        timing_sec={"learn"},
+    ),
+    "softhull": dict(
+        config={"fixture", "points", "epsilon", "delta", "eps3"},
+        results={"found", "q_indices", "q_size", "diam", "eps3_used", "matching_radius",
+                 "reason"},
+        theory_bounds=set(),
+        timing_sec={"envelope"},
+    ),
+    "kolp": dict(
+        config={"data", "k", "w0", "delta", "probes", "half_fraction", "truth"},
+        results={"vertex_estimates", "probe_count", "envelope_params_used", "prune_attempts",
+                 "singular_values", "per_vertex_error", "recovery_target", "recovered"},
+        theory_bounds={"per_vertex_target", "formula"},
+        timing_sec={"pipeline"},
+    ),
+    "audit-oracle": dict(
+        config={"dir", "fraction", "trials"},
+        results={"trials", "passes", "all_passed", "epsilon", "worst_containment_slack",
+                 "worst_optimality_slack", "vertex_displacements",
+                 "displacement_within_bound"},
+        theory_bounds={"oracle_epsilon", "oracle_epsilon_formula", "displacement_bound",
+                       "displacement_formula"},
+        timing_sec={"audit"},
+    ),
+}
+
+
+def test_report_schema(tmp_path):
+    lkp = tmp_path / "lkp"
+    _gen_lkp(lkp)
+    assert run_cli(["fixtures", "--out", tmp_path / "fx"]) == 0
+    reports = {
+        "gen": lkp / "report.json",
+        "fixtures": tmp_path / "fx" / "report.json",
+    }
+    commands = {
+        "rsh-estimate": ["--fixture", "example1-segment", "--delta", 1.0, "--trials", 2000],
+        "sep-reduce": ["--fixture", "example1-segment", "--delta", 0.5, "--queries", 2000],
+        "haus-learn": ["--fixture", "example1-segment", "--probes", 100],
+        "list-learn": ["--fixture", "example1-segment", "--delta", 0.9, "--probes", 200],
+        "softhull": ["--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
+                     "--delta", 0.1, "--eps3", 0.02],
+        "kolp": ["--data", lkp / "A.mat", "--k", 3, "--w0", 0.1, "--delta", 0.3,
+                 "--probes", 800, "--truth", lkp / "M.mat"],
+        "audit-oracle": ["--dir", lkp, "--trials", 100],
+    }
+    for command, args in commands.items():
+        reports[command] = tmp_path / f"{command}.json"
+        assert run_cli([command] + args + ["--seed", 23, "--out", reports[command]]) == 0
+    assert set(reports) == set(REPORT_SCHEMA)
+    for command, path in reports.items():
+        report = load_report(path)
+        assert set(report) == {
+            "tool", "version", "command", "config", "seed", "constants", "results",
+            "hypothesis_checks", "theory_bounds", "timing_sec", "paths",
+        }
+        assert report["command"] == command
+        for block, keys in REPORT_SCHEMA[command].items():
+            assert set(report[block]) == keys, (command, block)
