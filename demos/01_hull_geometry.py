@@ -1,9 +1,9 @@
 """Hull distances, Hausdorff distance, and well-separation margins.
 
 The building block for everything else in this library is the distance from
-a point to the convex hull of a finite point set, solved by Frank-Wolfe with
-away steps over the coefficient simplex.  This script walks through the
-basic quantities on small hand-checkable shapes.
+a point to the convex hull of a finite point set, solved by Wolfe's
+min-norm-point algorithm over the coefficient simplex.  This script walks
+through the basic quantities on small hand-checkable shapes.
 """
 
 import numpy as np

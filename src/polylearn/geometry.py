@@ -1,9 +1,9 @@
 """Convex-geometry primitives over V-polytopes (polytopes given by vertex lists).
 
 Everything here works on finite point sets stored column-wise.  The central
-routine is a distance-to-convex-hull solver (Frank-Wolfe with away steps over
-the coefficient simplex); Hausdorff distance, well-separation margins and soft
-hull membership are all built on top of it.
+routine is a distance-to-convex-hull solver (Wolfe's min-norm-point algorithm
+over the coefficient simplex); Hausdorff distance, well-separation margins
+and soft hull membership are all built on top of it.
 
 All operations are pure functions of their inputs and safe to call
 concurrently.
@@ -30,6 +30,12 @@ __all__ = [
 
 # Sum-to-one slack accepted on simplex coefficient vectors.
 _SIMPLEX_TOL = 1e-9
+# Min-norm-point float safeguards, relative to max_j |s_j - x|^2.  Gaps
+# below the floor are float64 noise (exactly converged solves show up to
+# about 15 eps), and corral weights at or below the drop threshold are
+# removed so the method cannot cycle on rounding.
+_GAP_FLOOR = 64.0 * np.finfo(np.float64).eps
+_DROP_WEIGHT = 1e-12
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -150,185 +156,91 @@ def diameter(W) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def _dist_scale(C: np.ndarray) -> float:
-    # max_j |x - s_j|; lower bounds diam(S u {x}) and upper bounds the distance.
-    return float(np.sqrt(np.einsum("ij,ij->j", C, C).max()))
-
-
-def _corrective_step(C: np.ndarray, lam: np.ndarray, r: np.ndarray):
-    """Exact minimization over the affine hull of the current support.
-
-    Solves the KKT system of min |C lam|^2 with sum(lam) = 1 restricted to
-    the support, then moves as far toward that solution as nonnegativity
-    allows.  Kills the zigzagging that plain away steps are prone to on
-    nearly affinely dependent supports.
-    """
-    support = np.flatnonzero(lam > 0.0)
-    s = support.size
-    A = C[:, support]
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = A.T @ A
-    kkt[:s, s] = 1.0
-    kkt[s, :s] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    target = sol[:s]
-    if not np.all(np.isfinite(target)):
-        return lam, r, False
-    step = target - lam[support]
-    neg = step < 0.0
-    gamma = 1.0
-    if np.any(neg):
-        gamma = min(1.0, float(np.min(lam[support][neg] / -step[neg])))
-    if gamma <= 0.0:
-        return lam, r, False
-    cand = lam.copy()
-    cand[support] = np.clip(lam[support] + gamma * step, 0.0, None)
-    total = cand.sum()
-    if total <= 0.0:
-        return lam, r, False
-    cand /= total
-    r_cand = C @ cand
-    if float(r_cand @ r_cand) < float(r @ r):
-        return cand, r_cand, True
-    return lam, r, False
-
-
-def _frank_wolfe_hull(
-    C: np.ndarray,
-    gap_target: float,
-    max_iter: int,
-    in_radius: float | None = None,
-    out_radius: float | None = None,
+def _min_norm_point(
+    x: np.ndarray, S: np.ndarray, tol: float, atol: float = 0.0, radius: float | None = None
 ):
-    """Away-step Frank-Wolfe for min |C @ lam|^2 over the simplex.
+    """Wolfe's min-norm-point algorithm for dist(x, CH(S)); returns (distance, lam).
 
-    ``C`` holds the hull points shifted so the query point is the origin.
-    Stops when the Frank-Wolfe gap certifies the requested additive accuracy,
-    or (membership mode) as soon as the distance is certified <= ``in_radius``
-    or > ``out_radius``.  Every 32 iterations a fully corrective step solves
-    the active-set subproblem exactly.  Returns (lam, achieved_gap, n_iter).
+    Works on C = (S - x) / scale, scale = max_j |s_j - x|, and keeps a corral:
+    columns whose affine hull holds the current point r = C lam.  Each major
+    step adds the column s minimizing g = C.T r, the Frank-Wolfe vertex; its
+    gap 2(|r|^2 - g[s]) bounds |r|^2 - dist^2.  Minor cycles then move to the
+    corral's affine minimizer, stepping only to the simplex boundary and
+    dropping the columns whose weight reaches zero while that minimizer lies
+    outside the simplex.  Stops once the gap
+    certifies accuracy max(tol*scale, atol) (floored at float64 noise), or,
+    given ``radius``, once dist <= radius or dist > radius + atol is certified.
+    Stopping for any other reason warns.
     """
-    k = C.shape[1]
+    C = S - x[:, None]
     norms2 = np.einsum("ij,ij->j", C, C)
-    lam = np.zeros(k)
-    lam[int(np.argmin(norms2))] = 1.0
-    r = C @ lam
-
-    gap = math.inf
-    best_gap = math.inf
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
+    lam = np.zeros(S.shape[1])
+    scale = math.sqrt(float(norms2.max()))
+    if scale == 0.0:
+        lam[0] = 1.0
+        return 0.0, lam
+    C /= scale
+    gap_target = max(max(tol, atol / scale) ** 2, _GAP_FLOOR)
+    corral = [int(np.argmin(norms2))]
+    w = np.ones(1)
+    r = C[:, corral[0]]
+    decided = False
+    # Safety cap only: a corral holds at most min(d + 1, k) columns.
+    for _ in range(100 + 10 * min(S.shape)):
         g = C.T @ r
         s = int(np.argmin(g))
-        lam_dot_g = float(lam @ g)
-        gap = 2.0 * (lam_dot_g - float(g[s]))
         f = float(r @ r)
-        if gap <= gap_target:
+        gap = 2.0 * (f - float(g[s]))
+        decided = gap <= gap_target or (
+            radius is not None
+            and (f <= (radius / scale) ** 2 or f - gap > ((radius + atol) / scale) ** 2)
+        )
+        if decided or s in corral:
             break
-        if gap < best_gap * (1.0 - 1e-3):
-            best_gap = gap
-            stall = 0
-        else:
-            stall += 1
-            if stall > 128:
-                break  # float64 noise floor reached; caller sees the gap
-        if in_radius is not None and f <= in_radius * in_radius:
-            break
-        if out_radius is not None:
-            lower2 = f - gap
-            if lower2 > out_radius * out_radius:
+        corral.append(s)
+        w = np.append(w, 0.0)
+        while True:
+            # Weights of the min-norm point on the corral's affine hull, by
+            # least squares on its edge vectors (a Gram-matrix KKT system
+            # would square their conditioning).
+            A = C[:, corral]
+            z = np.linalg.lstsq(A[:, 1:] - A[:, :1], -A[:, 0], rcond=None)[0]
+            y = np.concatenate(([1.0 - z.sum()], z))
+            out = y <= 0.0
+            if not out.any():
+                w = y
                 break
-
-        support = np.flatnonzero(lam > 0.0)
-        a = int(support[np.argmax(g[support])])
-        fw_descent = lam_dot_g - float(g[s])
-        away_descent = float(g[a]) - lam_dot_g
-
-        if fw_descent >= away_descent:
-            d = C[:, s] - r
-            dd = float(d @ d)
-            if dd <= 0.0:
-                break
-            gamma = min(max(-float(r @ d) / dd, 0.0), 1.0)
-            lam *= 1.0 - gamma
-            lam[s] += gamma
-            r = r + gamma * d
-        else:
-            d = r - C[:, a]
-            dd = float(d @ d)
-            la = float(lam[a])
-            if dd <= 0.0 or la >= 1.0:
-                break
-            gamma_max = la / (1.0 - la)
-            gamma = min(max(-float(r @ d) / dd, 0.0), gamma_max)
-            lam *= 1.0 + gamma
-            lam[a] -= gamma
-            if gamma >= gamma_max - 1e-15:
-                lam[a] = 0.0
-            r = r + gamma * d
-
-        if it % 32 == 0 and int(np.count_nonzero(lam > 0.0)) <= 64:
-            lam, r, _ = _corrective_step(C, lam, r)
-        if it % 256 == 0:
-            # Kill accumulated drift; lam must stay on the simplex.
-            np.clip(lam, 0.0, None, out=lam)
-            lam /= lam.sum()
-            r = C @ lam
-
-    np.clip(lam, 0.0, None, out=lam)
-    lam /= lam.sum()
-    return lam, gap, it
-
-
-def _max_iter_for(count: int, tol: float) -> int:
-    return max(64, int(math.ceil(50.0 * count * math.log(1.0 / min(tol, 0.5)))))
-
-
-def _dist_to_hull_raw(
-    x: np.ndarray,
-    S: np.ndarray,
-    tol: float,
-    in_radius: float | None = None,
-    out_radius: float | None = None,
-):
-    """Shared core: returns (distance, lam, scale). Absolute accuracy tol*scale."""
-    C = S - x[:, None]
-    scale = _dist_scale(C)
-    if scale == 0.0:
-        lam = np.zeros(S.shape[1])
-        lam[0] = 1.0
-        return 0.0, lam, scale
-    # Gap certificates below ~8*eps*scale^2 are float64 noise; don't chase them.
-    gap_target = max((tol * scale) ** 2, 8.0 * np.finfo(np.float64).eps * scale * scale)
-    max_iter = _max_iter_for(S.shape[1], tol)
-    lam, gap, _ = _frank_wolfe_hull(
-        C, gap_target, max_iter, in_radius=in_radius, out_radius=out_radius
-    )
-    if gap > gap_target and in_radius is None and out_radius is None:
+            # Step toward y until the first weight reaches zero.
+            theta = float(np.min(w[out] / np.maximum(w[out] - y[out], np.finfo(np.float64).tiny)))
+            w = w + theta * (y - w)
+            keep = w > _DROP_WEIGHT
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            w = w[keep] / w[keep].sum()
+        r = C[:, corral] @ w
+    if not decided:
         warnings.warn(
             f"hull-distance solver stopped early; achieved gap {gap:.3e} "
             f"(target {gap_target:.3e})",
             RuntimeWarning,
             stacklevel=3,
         )
-    residual = S @ lam - x
-    return float(np.linalg.norm(residual)), lam, scale
+    lam[corral] = w
+    return float(np.linalg.norm(S @ lam - x)), lam
 
 
 def dist_to_hull(x, S, tol: float = 1e-6) -> tuple[float, SimplexCoeffs]:
     """Distance from point ``x`` to the convex hull of the columns of ``S``.
 
-    Solves min |sum_i lam_i s_i - x| over the simplex with away-step
-    Frank-Wolfe, stopping once the duality gap certifies an additive error
-    of at most ``tol * diam(S u {x})``.  Returns the distance together with
-    the convex-combination witness; the witness reconstructs a hull point
-    at exactly the reported distance from ``x``.
+    Solves min |sum_i lam_i s_i - x| over the simplex with Wolfe's
+    min-norm-point algorithm: a corral of active columns, whose affine
+    minimizer each minor cycle moves toward.  It stops once the
+    Frank-Wolfe gap certifies an additive error of at most
+    ``tol * diam(S u {x})`` (precisely tol * max_j |s_j - x|, floored at
+    float64 noise), or once the next column is already in the corral.
+    Stopping short of the target warns
+    ("hull-distance solver stopped early").  Returns the distance together
+    with the convex-combination witness; the witness reconstructs a hull
+    point at exactly the reported distance from ``x``.
     """
     pm = as_point_matrix(S)
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -340,7 +252,7 @@ def dist_to_hull(x, S, tol: float = 1e-6) -> tuple[float, SimplexCoeffs]:
         raise ValueError("query point contains non-finite entries")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dist, lam, _ = _dist_to_hull_raw(xv, pm.entries, tol)
+    dist, lam = _min_norm_point(xv, pm.entries, tol)
     return dist, SimplexCoeffs(lam)
 
 
@@ -349,7 +261,8 @@ def hull_membership(x, S, radius: float, tol: float = 1e-9) -> tuple[bool, Simpl
 
     Cheaper than ``dist_to_hull`` when only the yes/no answer matters: the
     solver stops as soon as either the upper bound drops below the radius or
-    the duality-gap lower bound exceeds it.
+    the duality-gap lower bound exceeds radius + tol.  Otherwise it solves to
+    accuracy tol, and warns if it cannot.
     """
     pm = as_point_matrix(S)
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -359,11 +272,7 @@ def hull_membership(x, S, radius: float, tol: float = 1e-9) -> tuple[bool, Simpl
         raise ValueError(f"dimension mismatch: point has dim {xv.shape[0]}, hull has dim {pm.dim}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    scale = _dist_scale(pm.entries - xv[:, None])
-    rel_tol = max(tol / scale, 1e-12) if scale > 0 else 1e-12
-    dist, lam, _ = _dist_to_hull_raw(
-        xv, pm.entries, rel_tol, in_radius=radius, out_radius=radius + tol
-    )
+    dist, lam = _min_norm_point(xv, pm.entries, 1e-12, atol=tol, radius=radius)
     return dist <= radius + tol, SimplexCoeffs(lam)
 
 
@@ -380,19 +289,11 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
         raise ValueError("hausdorff distance needs two nonempty point sets")
     if P.dim != Q.dim:
         raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    scale = max(diameter(P), diameter(Q))
+    atol = tol * max(diameter(P), diameter(Q))
     best = 0.0
     for A, B in ((P, Q), (Q, P)):
-        for j in range(A.count):
-            x = A.entries[:, j]
-            C = B.entries - x[:, None]
-            local = _dist_scale(C)
-            if local == 0.0:
-                continue
-            rel = max((tol * scale) / local, 1e-12) if scale > 0 else 1e-9
-            d, _, _ = _dist_to_hull_raw(x, B.entries, rel)
-            if d > best:
-                best = d
+        for x in A.entries.T:
+            best = max(best, _min_norm_point(x, B.entries, 1e-12, atol=atol)[0])
     return best
 
 
@@ -409,11 +310,7 @@ def well_separation(K: VPolytope, tol: float = 1e-6) -> float:
     if delta_k == 0.0:
         return 0.0
     V = K.vertices.entries
-    k = K.count
     worst = math.inf
-    idx = np.arange(k)
-    for ell in range(k):
-        others = V[:, idx != ell]
-        d, _, _ = _dist_to_hull_raw(V[:, ell], others, tol)
-        worst = min(worst, d)
+    for ell in range(K.count):
+        worst = min(worst, _min_norm_point(V[:, ell], np.delete(V, ell, axis=1), tol)[0])
     return worst / delta_k

@@ -1,10 +1,10 @@
 """Independent test oracles: brute-force and exact alternatives to the library paths.
 
-Nothing here shares code with the solvers under test.  The grid search and
-the face-enumeration QP both compute hull distances by entirely different
-means than the Frank-Wolfe solver; the boundary sampler measures Hausdorff
-distance without ever calling the library's implementation; the subset
-selection sorts where the oracle selects.
+Nothing here shares code with the solvers under test.  The grid search,
+the face-enumeration QP and the NNLS formulation all compute hull distances
+by entirely different means than the library's solver; the boundary sampler
+measures Hausdorff distance without ever calling the library's
+implementation; the subset selection sorts where the oracle selects.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def grid_hull_distance(x, S, step: float = 1e-3, final_step: float = 2.5e-4) -> 
     improves, then halve the step until it drops below ``final_step``.
     The objective is convex over the simplex, so the descent reaches the
     global optimum to within the final grid resolution.  Entirely
-    independent of the Frank-Wolfe solver.
+    independent of the library's solver.
     """
     S = np.asarray(S, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -99,10 +99,16 @@ def exact_hull_distance(x, S) -> float:
     least squares min |S_F lam - x| with sum(lam) = 1 via its KKT system and
     keeps the best nonnegative solution.  Some optimal face has an affinely
     independent, nonnegative solution, so the minimum over feasible subsets
-    is the exact distance.
+    is the exact distance.  The KKT systems are solved on x and S divided by
+    their largest absolute entry, so the result is scale-free.
     """
     S = np.asarray(S, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
+    unit = max(float(np.abs(S).max()), float(np.abs(x).max()))
+    if unit == 0.0:
+        return 0.0
+    S = S / unit
+    x = x / unit
     k = S.shape[1]
     best = np.inf
     for r in range(1, k + 1):
@@ -125,7 +131,31 @@ def exact_hull_distance(x, S) -> float:
             lam /= s
             d = float(np.linalg.norm(A @ lam - x))
             best = min(best, d)
-    return best
+    return best * unit
+
+
+def nnls_hull_distance(x, S) -> float:
+    """dist(x, CH(S)) by nonnegative least squares, for hulls of any size.
+
+    With C = S - x, minimizes |C lam|^2 + (w * (sum(lam) - 1))^2 over
+    lam >= 0 (``scipy.optimize.nnls`` on C with a weighted row of ones,
+    w = max|C|).  Writing lam = t * mu with mu on the simplex, the objective
+    is t^2 |C mu|^2 + w^2 (t - 1)^2, so for any t > 0 the best mu is the
+    simplex minimizer: the normalised solution is exact, whatever w.
+    """
+    from scipy.optimize import nnls
+
+    S = np.asarray(S, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    C = S - x[:, None]
+    w = float(np.abs(C).max())
+    if w == 0.0:
+        return 0.0
+    A = np.vstack([C, np.full(S.shape[1], w)])
+    b = np.zeros(A.shape[0])
+    b[-1] = w
+    lam, _ = nnls(A, b, maxiter=50 * A.shape[1])
+    return float(np.linalg.norm(S @ (lam / lam.sum()) - x))
 
 
 def point_to_polygon_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -1,18 +1,30 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylearn import (
+    NoisyOracle,
     PointMatrix,
     SimplexCoeffs,
     VPolytope,
     diameter,
     dist_to_hull,
+    gen_well_separated_polytope,
     hausdorff,
     hull_membership,
+    random_probes,
     well_separation,
 )
 
-from reference import boundary_hausdorff_2d, exact_hull_distance, grid_hull_distance
+from reference import (
+    boundary_hausdorff_2d,
+    exact_hull_distance,
+    grid_hull_distance,
+    nnls_hull_distance,
+)
 
 
 def test_point_matrix_validation():
@@ -204,3 +216,67 @@ def test_grid_bruteforce_agreement_small_hulls():
         scale = max(diameter(np.column_stack([S, x])), 1e-12)
         got, _ = dist_to_hull(x, S, tol=1e-8)
         assert abs(got - grid_hull_distance(x, S)) <= 2e-3 * scale
+
+
+def test_dist_to_hull_converges_on_noisy_vertex_clouds():
+    # Each vertex lies in the hull of 2000 noisy answers crowding around the
+    # vertices, where first-order steps stall short of the target accuracy.
+    K = gen_well_separated_polytope(10, 6, 0.3, seed=0)
+    answers = random_probes(NoisyOracle(K, 0.02, seed=100), 2000, seed=200).answers.entries
+    diam = K.diameter()
+    for v in K.vertices.entries.T:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, _ = dist_to_hull(v, answers, tol=1e-6)
+        assert abs(got - nnls_hull_distance(v, answers)) <= 1e-6 * diam
+
+
+def _hull_instance(seed, d, k, shape, exponent):
+    """Random (x, S) at scale 10**exponent: general, duplicated or affinely flat columns."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((d, k))
+    if shape == "duplicates":
+        S[:, rng.integers(0, k, k)] = S[:, rng.integers(0, k, k)]
+    elif shape == "collinear":
+        S = np.outer(rng.standard_normal(d), rng.standard_normal(k)) + rng.standard_normal((d, 1))
+    elif shape == "flat":  # all columns on one 2-d affine plane
+        S = rng.standard_normal((d, 1)) @ rng.standard_normal((1, k)) + rng.standard_normal((d, 1))
+        S[:, : k // 2] += rng.standard_normal((d, 1)) * rng.random(k // 2)
+    x = rng.standard_normal(d) if rng.random() < 0.7 else S @ rng.dirichlet(np.ones(k))
+    unit = 10.0**exponent
+    return x * unit, S * unit
+
+
+_hull_instances = dict(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    k=st.integers(1, 7),
+    shape=st.sampled_from(["general", "duplicates", "collinear", "flat"]),
+    exponent=st.integers(-6, 6),
+)
+
+
+@settings(max_examples=150)
+@given(**_hull_instances)
+def test_dist_to_hull_matches_exact_at_any_scale(seed, d, k, shape, exponent):
+    # k up to 7 in dim up to 4 also covers k > d + 1 (affinely dependent).
+    x, S = _hull_instance(seed, d, k, shape, exponent)
+    scale = float(np.linalg.norm(S - x[:, None], axis=0).max())
+    got, w = dist_to_hull(x, S, tol=1e-6)
+    assert abs(got - exact_hull_distance(x, S)) <= 1e-6 * scale
+    assert np.linalg.norm(S @ w.weights - x) == got
+
+
+@settings(max_examples=150)
+@given(**_hull_instances, factor=st.floats(0.0, 2.0))
+def test_hull_membership_agrees_with_distance(seed, d, k, shape, exponent, factor):
+    x, S = _hull_instance(seed, d, k, shape, exponent)
+    scale = float(np.linalg.norm(S - x[:, None], axis=0).max())
+    dist, _ = dist_to_hull(x, S, tol=1e-8)
+    radius, tol = factor * dist, 1e-9 * scale
+    inside, w = hull_membership(x, S, radius=radius, tol=tol)
+    if dist < radius + tol - 1e-6 * scale:
+        assert inside
+        assert np.linalg.norm(S @ w.weights - x) <= radius + tol
+    elif dist > radius + tol + 1e-6 * scale:
+        assert not inside

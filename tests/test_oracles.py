@@ -233,6 +233,23 @@ def test_subset_smoothing_batch_matches_single_queries(seed, d, n, levels, fract
     assert np.array_equal(oracle.query_batch(U[perm]), X[:, perm])
 
 
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(8, 24), fraction=st.floats(0.05, 0.95))
+def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fraction):
+    # 40 clusters of 80 columns equal up to a few ulps: every direction's
+    # scores nearly tie inside each cluster, so the selection at the cut
+    # follows the last bits of the scores, where gemm and gemv disagree.
+    # 60 rows span 3 selection blocks of 2**16 // 3200 rows.
+    rng = np.random.default_rng(seed)
+    A = np.repeat(rng.standard_normal((d, 40)), 80, axis=1)
+    A *= 1.0 + np.ldexp(rng.integers(-4, 5, A.shape), -52)
+    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    U = rng.standard_normal((60, d))
+    X = oracle.query_batch(U)
+    for i, u in enumerate(U):
+        assert np.array_equal(X[:, i], oracle.query(u))
+
+
 def test_subset_smoothing_batch_errors_name_the_row():
     oracle = subset_smoothing_oracle(np.eye(3), fraction=0.5)
     U = np.ones((30, 3))
