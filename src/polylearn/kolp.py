@@ -143,12 +143,14 @@ def _derive_prune_params(delta: float, constants: Constants) -> tuple[float, flo
     return delta_prime, eps_prime, eps3, messages
 
 
+_PRUNE_RETRIES = 3
+
+
 def _prune_attempts(
     W: PointMatrix,
     k: int,
     delta: float,
     constants: Constants,
-    max_retries: int = 3,
 ) -> tuple[PointMatrix, EnvelopeParams, list[dict]]:
     X, keep = _dedupe_columns(W.entries)
     deduped = PointMatrix(X)
@@ -157,10 +159,12 @@ def _prune_attempts(
     # true representatives start getting pruned; never thin below that.
     eps3_floor = min(1.2 * eps_prime, 0.3)
     attempts: list[dict] = []
-    for trial in range(max_retries + 1):
+    for trial in range(_PRUNE_RETRIES + 1):
         params = EnvelopeParams(epsilon=eps_prime, delta=delta_prime, epsilon3=eps3)
+        # The ladder leaves the guaranteed parameter range on purpose; only
+        # those warnings are silenced, never the solver's.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", r"(epsilon3?|delta) = ", RuntimeWarning)
             result = find_soft_envelope(deduped, params)
         record = {
             "attempt": trial,

@@ -49,13 +49,6 @@ class ProbeSet:
     def count(self) -> int:
         return self.directions.count
 
-    def prefix(self, m: int) -> "ProbeSet":
-        return ProbeSet(
-            PointMatrix(self.directions.entries[:, :m]),
-            PointMatrix(self.answers.entries[:, :m]),
-            self.seed,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LearnReport:
@@ -105,7 +98,6 @@ def _nearest_distances(V: np.ndarray, X: np.ndarray) -> np.ndarray:
 def random_probes(
     oracle: OptOracle,
     m: int,
-    dim: int | None = None,
     subspace: np.ndarray | None = None,
     seed: int = 0,
 ) -> ProbeSet:
@@ -118,11 +110,8 @@ def random_probes(
     """
     if m < 1:
         raise ValueError("probe count m must be positive")
-    dim = oracle.dim if dim is None else dim
-    if dim != oracle.dim:
-        raise ValueError(f"dim {dim} does not match oracle dim {oracle.dim}")
     rng = np.random.default_rng(seed)
-    U = _unit_directions(rng, m, dim, subspace)
+    U = _unit_directions(rng, m, oracle.dim, subspace)
     answers = oracle.query_batch(U)
     return ProbeSet(PointMatrix(U.T), PointMatrix(answers), seed)
 

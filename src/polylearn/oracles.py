@@ -188,13 +188,7 @@ class SubsetSmoothingOracle(OptOracle):
     the oracle is scale-equivariant in u and accepts any nonzero finite direction.
     """
 
-    def __init__(
-        self,
-        data,
-        fraction: float,
-        advertised_epsilon: float = math.nan,
-        reference_diameter: float | None = None,
-    ):
+    def __init__(self, data, fraction: float):
         pm = as_point_matrix(data)
         if pm.count < 1:
             raise ValueError("subset smoothing needs a nonempty data matrix")
@@ -204,8 +198,8 @@ class SubsetSmoothingOracle(OptOracle):
         self.dim = pm.dim
         self.fraction = float(fraction)
         self.subset_size = int(math.ceil(fraction * pm.count))
-        self.advertised_epsilon = float(advertised_epsilon)
-        self._diam = reference_diameter
+        self.advertised_epsilon = math.nan
+        self._diam = None
 
     @property
     def reference_diameter(self) -> float:
@@ -318,8 +312,8 @@ def noisy_oracle(K: VPolytope, epsilon: float, seed: int) -> NoisyOracle:
     return NoisyOracle(K, epsilon, seed)
 
 
-def subset_smoothing_oracle(A, fraction: float, **kwargs) -> SubsetSmoothingOracle:
-    return SubsetSmoothingOracle(A, fraction, **kwargs)
+def subset_smoothing_oracle(A, fraction: float) -> SubsetSmoothingOracle:
+    return SubsetSmoothingOracle(A, fraction)
 
 
 def needle_oracle(d: int) -> NeedleOracle:

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _WILSON_Z99 = 2.5758293035489004  # 99.5 percentile of the standard normal
+_BLOCK = 100_000  # samples drawn per step of estimate_rsh_probability
 
 
 def margin(u, a, K: VPolytope) -> float:
@@ -112,32 +113,39 @@ def _wilson_interval(successes: int, trials: int, z: float = _WILSON_Z99):
     return max((center - half) / denom, 0.0), min((center + half) / denom, 1.0)
 
 
-def _subspace_basis(K: VPolytope, a: np.ndarray, m: int, rng: np.random.Generator):
-    """Orthonormal basis (d x m) of a subspace containing span(K u {a}).
+def _span_coordinates(K: VPolytope, a: np.ndarray, m: int):
+    """Coordinates of ``a`` and of K's vertices in an orthonormal basis of span(K u {a}).
 
-    When the span has dimension below m it is padded with random orthonormal
-    directions drawn from ``rng``.
+    Returns (proj_a, proj_v) with r = rank(K u {a}) rows; r must not exceed m.
     """
-    d = K.dim
-    if m > d:
-        raise ValueError(f"subspace dimension {m} exceeds ambient dimension {d}")
+    if m < 1:
+        raise ValueError(f"subspace dimension must be positive, got {m}")
+    if m > K.dim:
+        raise ValueError(f"subspace dimension {m} exceeds ambient dimension {K.dim}")
     raw = np.column_stack([K.vertices.entries, a])
-    u_mat, s, _ = np.linalg.svd(raw, full_matrices=False)
-    if s.size:
-        rank = int(np.sum(s > s[0] * max(raw.shape) * np.finfo(float).eps)) if s[0] > 0 else 0
-    else:
-        rank = 0
-    base = u_mat[:, :rank]
+    _, s, vt = np.linalg.svd(raw, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(raw.shape) * np.finfo(float).eps))
     if rank > m:
         raise ValueError(
             f"span of the polytope and the point has dimension {rank} > m = {m}"
         )
-    if rank == m:
-        return base
-    G = rng.standard_normal((d, m - rank))
-    G -= base @ (base.T @ G)
-    Q, _ = np.linalg.qr(G)
-    return np.column_stack([base, Q[:, : m - rank]])
+    coords = s[:rank, None] * vt[:rank]
+    return coords[:, -1], coords[:, :-1]
+
+
+def _normalized_margins(proj_a, proj_v, m: int, size: int, rng: np.random.Generator):
+    """``size`` samples of (u.a - max_y u.y)/|u| for Gaussian u in an m-dim subspace.
+
+    The margin sees only u's r coordinates in span(K u {a}); the other m - r
+    enter through their squared norm, an independent chi-square(m - r).  So
+    drawing r normals and one chi-square per sample is exact.
+    """
+    r = proj_a.shape[0]
+    G = rng.standard_normal((size, r))
+    sq_norms = np.einsum("ij,ij->i", G, G)
+    if m > r:
+        sq_norms += rng.chisquare(m - r, size)
+    return (G @ proj_a - np.max(G @ proj_v, axis=1)) / np.sqrt(sq_norms)
 
 
 def estimate_rsh_probability(
@@ -148,7 +156,6 @@ def estimate_rsh_probability(
     trials: int,
     seed: int,
     tol: float = 1e-7,
-    chunk: int = 100_000,
 ) -> RshEstimate:
     """Estimate the probability of the random-separation margin event.
 
@@ -176,21 +183,13 @@ def estimate_rsh_probability(
         )
     k = K.count
     factor = margin_threshold_factor(k, delta, m)
+    proj_a, proj_v = _span_coordinates(K, a, m)
+    threshold = delta * delta_k * factor
     rng = np.random.default_rng(seed)
-    basis = _subspace_basis(K, a, m, rng)
-    proj_a = basis.T @ a
-    proj_v = basis.T @ K.vertices.entries
-    threshold_scale = delta * delta_k * factor
-
     successes = 0
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        G = rng.standard_normal((size, m))
-        margins = G @ proj_a - np.max(G @ proj_v, axis=1)
-        norms = np.linalg.norm(G, axis=1)
-        successes += int(np.count_nonzero(margins >= norms * threshold_scale))
-        done += size
+    for done in range(0, trials, _BLOCK):
+        samples = _normalized_margins(proj_a, proj_v, m, min(_BLOCK, trials - done), rng)
+        successes += int(np.count_nonzero(samples >= threshold))
 
     p_hat = successes / trials
     lo, hi = _wilson_interval(successes, trials)
@@ -217,13 +216,8 @@ def normalized_margin_samples(
     dimension (the separation margin shrinks like 1/sqrt(m)).
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    rng = np.random.default_rng(seed)
-    basis = _subspace_basis(K, a, m, rng)
-    proj_a = basis.T @ a
-    proj_v = basis.T @ K.vertices.entries
-    G = rng.standard_normal((trials, m))
-    margins = G @ proj_a - np.max(G @ proj_v, axis=1)
-    return margins / np.linalg.norm(G, axis=1)
+    proj_a, proj_v = _span_coordinates(K, a, m)
+    return _normalized_margins(proj_a, proj_v, m, trials, np.random.default_rng(seed))
 
 
 class SeparationVerdict(Enum):

@@ -4,7 +4,9 @@ Nothing here shares code with the solvers under test.  The grid search,
 the face-enumeration QP and the NNLS formulation all compute hull distances
 by entirely different means than the library's solver; the boundary sampler
 measures Hausdorff distance without ever calling the library's
-implementation; the subset selection sorts where the oracle selects.
+implementation; the subset selection sorts where the oracle selects; the
+margin sampler draws every coordinate of u where the library draws only those
+the margin depends on.
 """
 
 from __future__ import annotations
@@ -251,3 +253,24 @@ def naive_envelope(W: np.ndarray, epsilon: float, diam_w: float) -> list[int]:
         if not inside:
             kept.append(j)
     return kept
+
+
+def full_dimensional_margin_samples(V, a, m: int, trials: int, seed: int) -> np.ndarray:
+    """Samples of (u.a - max_j u.v_j)/|u| for Gaussian u in an m-dim subspace.
+
+    Draws all m coordinates of u in an orthonormal basis of span(V u {a})
+    padded to m columns with random orthonormal directions.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    rng = np.random.default_rng(seed)
+    raw = np.column_stack([V, a])
+    u_mat, s, _ = np.linalg.svd(raw, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(raw.shape) * np.finfo(float).eps))
+    base = u_mat[:, :rank]
+    G = rng.standard_normal((raw.shape[0], m - rank))
+    G -= base @ (base.T @ G)
+    basis = np.column_stack([base, np.linalg.qr(G)[0]])
+    U = rng.standard_normal((trials, m)) @ basis.T
+    margins = U @ a - np.max(U @ V, axis=1)
+    return margins / np.linalg.norm(U, axis=1)

@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polylearn import PointMatrix
 from polylearn.cli import load_matrix, main, save_matrix
@@ -33,6 +36,26 @@ def test_matrix_round_trip(tmp_path):
     assert np.array_equal(back.entries, pm.entries)  # 17 digits round-trips exactly
     with open(path) as fh:
         assert fh.readline().strip() == "dims 7 13"
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100)
+@given(
+    entries=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(0, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_VALUES),
+    )
+)
+def test_matrix_round_trip_is_bit_exact(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("round-trip") / "m.mat"
+    save_matrix(path, PointMatrix(entries))
+    back = load_matrix(path).entries
+    assert back.shape == entries.shape
+    assert back.tobytes() == entries.tobytes()
 
 
 def test_save_matrix_exact_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ def test_prune_collapses_duplicates():
     assert picked.count == 3
     errs = matched_errors(V, picked.entries)
     assert errs.max() <= 1e-12
+
+
+def test_prune_surfaces_solver_warnings(monkeypatch):
+    # Pruning silences its ladder's off-range parameter warnings (delta' =
+    # 0.125 here), never a hull-distance solver that stopped early.
+    import polylearn.kolp as kolp
+
+    real = kolp.find_soft_envelope
+
+    def stalling(W, params):
+        warnings.warn("hull-distance solver stopped early; achieved gap 1e-3", RuntimeWarning)
+        return real(W, params)
+
+    monkeypatch.setattr(kolp, "find_soft_envelope", stalling)
+    K = gen_well_separated_polytope(2, 3, 0.5, seed=6)
+    with pytest.warns(RuntimeWarning) as record:
+        picked = prune_to_k(K.vertices.entries, 3, delta=0.5)
+    assert picked.count == 3
+    messages = [str(w.message) for w in record]
+    assert messages and all(m.startswith("hull-distance solver stopped early") for m in messages)
 
 
 def test_prune_noisy_square():

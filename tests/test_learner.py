@@ -103,7 +103,7 @@ def test_hausdorff_monotone_in_prefixes():
     probes = random_probes(exact_oracle(K), 60, seed=9)
     prev = np.inf
     for m in range(1, 61, 7):
-        h = hausdorff(probes.prefix(m).answers, K.vertices, tol=1e-7)
+        h = hausdorff(probes.answers.entries[:, :m], K.vertices, tol=1e-7)
         assert h <= prev + 1e-6
         prev = min(prev, h)
 

@@ -90,6 +90,25 @@ def test_noisy_oracle_respects_contract():
     assert worst <= eps * K.diameter() + 1e-12
 
 
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.0, 1.0),
+    d=st.integers(1, 5),
+    k=st.integers(1, 6),
+    data=st.data(),
+)
+def test_noisy_oracle_answers_pass_audit(seed, eps, d, k, data):
+    K = VPolytope(np.random.default_rng(seed).standard_normal((d, k)))
+    oracle = noisy_oracle(K, eps, seed=seed)
+    for _ in range(5):
+        g = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        if np.linalg.norm(g) < 1e-3:
+            continue
+        u = g / np.linalg.norm(g)
+        assert audit_answer(K, u, oracle.query(u), epsilon=eps, tol=1e-9).passed
+
+
 def test_noisy_oracle_deterministic_per_query():
     K = segment()
     oracle = noisy_oracle(K, 0.3, seed=11)

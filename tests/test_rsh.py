@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from polylearn import (
     VPolytope,
@@ -18,6 +19,8 @@ from polylearn import (
     rsh_lower_bound,
     separate_via_opt,
 )
+from polylearn.rsh import _normalized_margins, _span_coordinates
+from reference import full_dimensional_margin_samples
 
 
 def test_margin_vertex_never_positive():
@@ -98,6 +101,15 @@ def test_estimate_requires_m_at_least_span():
         estimate_rsh_probability(K, a, delta=1.0, m=1, trials=10, seed=0)
 
 
+def test_subspace_dim_must_be_positive():
+    # A zero-dimensional subspace has only u = 0, for which |u| normalises nothing.
+    K = VPolytope(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="positive"):
+        estimate_rsh_probability(K, np.zeros(3), delta=0.5, m=0, trials=10, seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        normalized_margin_samples(K, np.zeros(3), m=0, trials=10, seed=0)
+
+
 def test_event_scale_invariance():
     # the margin event is invariant under positive rescaling of u
     K = example1_segment(8)
@@ -146,6 +158,76 @@ def test_normalized_margins_shrink_with_subspace_dim():
         quantiles.append(float(np.quantile(s, 0.9)))
     ratio = quantiles[0] / quantiles[1]
     assert ratio == pytest.approx(3.0, rel=0.25)  # sqrt(90/10) = 3
+
+
+class _Replay:
+    """Stands in for a Generator: hands out the split of one full draw G."""
+
+    def __init__(self, G, r):
+        self.G, self.r = G, r
+
+    def standard_normal(self, shape):
+        assert shape == (self.G.shape[0], self.r)
+        return self.G[:, : self.r]
+
+    def chisquare(self, df, size):
+        assert df == self.G.shape[1] - self.r > 0 and size == self.G.shape[0]
+        return np.sum(self.G[:, self.r :] ** 2, axis=1)
+
+
+@pytest.mark.parametrize("m", [5, 9])
+def test_span_draw_reproduces_full_draw(m):
+    # One m-dim Gaussian draw in a padded basis of span(K u {a}): its r span
+    # coordinates plus the tail's squared norm give the full margins and norms.
+    rng = np.random.default_rng(21)
+    d, r = 12, 5
+    V, a = rng.standard_normal((d, r - 1)), rng.standard_normal(d)
+    proj_a, proj_v = _span_coordinates(VPolytope(V), a, m)
+    assert proj_a.shape == (r,) and proj_v.shape == (r, r - 1)
+    raw, coords = np.column_stack([V, a]), np.column_stack([proj_v, proj_a])
+    B = raw @ np.linalg.pinv(coords)
+    assert np.allclose(B.T @ B, np.eye(r), atol=1e-12)
+    assert np.allclose(B @ coords, raw, atol=1e-12)
+    pad = rng.standard_normal((d, m - r))
+    basis = np.column_stack([B, np.linalg.qr(pad - B @ (B.T @ pad))[0]])
+    G = rng.standard_normal((2000, m))
+    U = G @ basis.T
+    full_margins = U @ a - np.max(U @ V, axis=1)
+    full_norms = np.linalg.norm(U, axis=1)
+    span = G[:, :r]
+    margins = span @ proj_a - np.max(span @ proj_v, axis=1)
+    norms = np.sqrt(np.sum(span**2, axis=1) + np.sum(G[:, r:] ** 2, axis=1))
+    assert np.allclose(margins, full_margins, rtol=0, atol=1e-12)
+    assert np.allclose(norms, full_norms, rtol=1e-14, atol=0)
+    sampled = _normalized_margins(proj_a, proj_v, m, 2000, _Replay(G, r))
+    assert np.allclose(sampled, full_margins / full_norms, rtol=0, atol=1e-12)
+
+
+def _segment_case(m):
+    a = np.zeros(m)
+    a[1] = 1.0
+    return example1_segment(m), a, m
+
+
+def _sphere_case():
+    a = np.zeros(8)
+    a[0] = 1.0
+    return example2_sphere(16, 8), a, 8
+
+
+@pytest.mark.parametrize(
+    "K, a, m",
+    [_segment_case(50), _sphere_case(), _segment_case(2)],
+    ids=["segment-r2-m50", "sphere-r3-m8", "segment-r2-m2"],
+)
+def test_normalized_margins_match_full_dimensional_sampler(K, a, m):
+    # Six two-sample KS tests at 200k samples each; 1e-3 per test keeps the
+    # family's false-alarm rate under 1%.  Dropping the chi-square fails the
+    # m > r cases; moving it by one degree of freedom fails the sphere.
+    for seed in (0, 1):
+        reduced = normalized_margin_samples(K, a, m, trials=200_000, seed=seed)
+        full = full_dimensional_margin_samples(K.vertices.entries, a, m, 200_000, seed + 1000)
+        assert ks_2samp(reduced, full).pvalue > 1e-3
 
 
 def test_separate_vertex_stays_inside():
