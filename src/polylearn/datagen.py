@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointMatrix, VPolytope, dist_to_hull, well_separation
+from .geometry import PointMatrix, VPolytope, _hull_distances, well_separation
 
 __all__ = [
     "LkpInstance",
@@ -82,6 +82,8 @@ class LkpInstance:
         n = self.n
         if self.A.count != n or self.A.dim != self.dim or self.P.dim != self.dim:
             raise ValueError("inconsistent matrix shapes")
+        if n == 0:
+            raise ValueError("P holds no latent points (n = 0)")
         measured = spectral_norm(self.P.entries - self.A.entries) / math.sqrt(n)
         if abs(measured - self.sigma0) > 1e-6 * max(measured, 1.0):
             raise ValueError(
@@ -100,10 +102,11 @@ class LkpInstance:
                     f"cluster {ell} latent point at {worst} > sigma0/sqrt(w0) = {radius}"
                 )
         scale = max(self.M.diameter(), 1.0)
-        for j in range(n):
-            d, _ = dist_to_hull(self.P.entries[:, j], self.M.vertices, tol=min(tol, 1e-7))
-            if d > tol * scale:
-                raise ValueError(f"latent point {j} lies {d} outside CH(M)")
+        dists, _ = _hull_distances(self.P.entries, V, min(tol, 1e-7))
+        outside = np.flatnonzero(dists > tol * scale)
+        if outside.size:
+            j = int(outside[0])
+            raise ValueError(f"latent point {j} lies {float(dists[j])} outside CH(M)")
 
 
 def gen_well_separated_polytope(

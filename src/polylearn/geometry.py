@@ -36,6 +36,8 @@ _SIMPLEX_TOL = 1e-9
 # removed so the method cannot cycle on rounding.
 _GAP_FLOOR = 64.0 * np.finfo(np.float64).eps
 _DROP_WEIGHT = 1e-12
+# Elements per block of the point-major (points x k x d) difference arrays.
+_BLOCK = 2**16
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -228,6 +230,96 @@ def _min_norm_point(
     return float(np.linalg.norm(S @ lam - x)), lam
 
 
+def _swap_last_axes(D: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a points x k x d array as points x d x k."""
+    return np.ascontiguousarray(D.transpose(0, 2, 1))
+
+
+def _stopping_test(C, lam, target, scale, atol: float, radius: float | None) -> np.ndarray:
+    """``_min_norm_point``'s stopping test at the hull points C lam, one per row of ``lam``."""
+    r = (_swap_last_axes(C) * lam[:, None, :]).sum(-1)
+    f = (r * r).sum(-1)
+    gap = 2.0 * (f - (C * r[:, None, :]).sum(-1).min(-1))
+    decided = gap <= target
+    if radius is not None:
+        decided |= (f <= (radius / scale) ** 2) | (f - gap > ((radius + atol) / scale) ** 2)
+    return decided
+
+
+def _hull_distances(X: np.ndarray, S: np.ndarray, tol: float, atol: float = 0.0, radius: float | None = None):
+    """``_min_norm_point`` for every column of ``X`` against one hull; returns (dists, Lam).
+
+    Row i of the m x k matrix ``Lam`` holds column i's weights.  Equal columns
+    are solved once.  Each distinct column tries two exact candidates: its
+    nearest vertex (the solver's first iterate) and, when all of its
+    barycentric weights are nonnegative, its projection onto aff(S), whose
+    weights come from one pseudo-inverse of the edge matrix.  A candidate is
+    accepted only by the solver's own stopping test (gap target and, given
+    ``radius``, both radius decisions), evaluated on the differences s_j - x;
+    every other column goes to ``_min_norm_point``.  The differences are
+    point-major (points x k x d) and every reduction runs along the last
+    axis, so a column's result does not depend on the batch it arrives in.
+    """
+    d, k = S.shape
+    Xt = np.ascontiguousarray(X.T, dtype=np.float64)
+    _, first, inverse = np.unique(
+        Xt.view(np.dtype((np.void, 8 * d))).ravel(), return_index=True, return_inverse=True
+    )
+    U = Xt[first]
+    dists = np.empty(U.shape[0])
+    Lam = np.zeros((U.shape[0], k))
+    edges_pinv = None
+    block = max(1, _BLOCK // (k * d))
+    for start in range(0, U.shape[0], block):
+        Ub = U[start : start + block]
+        D = S.T[None, :, :] - Ub[:, None, :]
+        norms2 = (D * D).sum(-1)
+        scale = np.sqrt(norms2.max(-1))
+        scale[scale == 0.0] = 1.0
+        C = D / scale[:, None, None]
+        target = np.maximum(np.maximum(tol, atol / scale) ** 2, _GAP_FLOOR)
+        lam = np.zeros((Ub.shape[0], k))
+        lam[np.arange(Ub.shape[0]), norms2.argmin(-1)] = 1.0
+        ok = _stopping_test(C, lam, target, scale, atol, radius)
+        rest = np.flatnonzero(~ok)
+        if rest.size and k > 1:
+            if edges_pinv is None:
+                edges_pinv = np.linalg.pinv(S[:, 1:] - S[:, :1])
+            # Barycentric coordinates of the projection onto aff(S).
+            z = (edges_pinv[None, :, :] * (Ub[rest] - S[:, 0])[:, None, :]).sum(-1)
+            y = np.concatenate([1.0 - z.sum(-1, keepdims=True), z], axis=1)
+            inside = (y >= 0.0).all(-1)
+            rest, y = rest[inside], y[inside]
+            accept = _stopping_test(C[rest], y, target[rest], scale[rest], atol, radius)
+            lam[rest[accept]] = y[accept]
+            ok[rest[accept]] = True
+        res = (_swap_last_axes(D[ok]) * lam[ok][:, None, :]).sum(-1)
+        dists[start + np.flatnonzero(ok)] = np.sqrt((res * res).sum(-1))
+        Lam[start : start + Ub.shape[0]] = lam
+        for i in start + np.flatnonzero(~ok):
+            dists[i], Lam[i] = _min_norm_point(U[i], S, tol, atol, radius)
+    return dists[inverse], Lam[inverse]
+
+
+def _leave_one_out(V: np.ndarray, tol: float, atol: float = 0.0, radius: float | None = None):
+    """Yield dist(v, CH(other columns)) for each column v of ``V``, one solve at a time."""
+    for ell in range(V.shape[1]):
+        yield _min_norm_point(V[:, ell], np.delete(V, ell, axis=1), tol, atol, radius)[0]
+
+
+def _query_args(x, S, empty: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (point, hull matrix) for the single-point queries; ``empty`` is the empty-hull message."""
+    pm = as_point_matrix(S)
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    if pm.count < 1:
+        raise ValueError(empty)
+    if xv.shape[0] != pm.dim:
+        raise ValueError(f"dimension mismatch: point has dim {xv.shape[0]}, hull has dim {pm.dim}")
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("query point contains non-finite entries")
+    return xv, pm.entries
+
+
 def dist_to_hull(x, S, tol: float = 1e-6) -> tuple[float, SimplexCoeffs]:
     """Distance from point ``x`` to the convex hull of the columns of ``S``.
 
@@ -242,17 +334,10 @@ def dist_to_hull(x, S, tol: float = 1e-6) -> tuple[float, SimplexCoeffs]:
     with the convex-combination witness; the witness reconstructs a hull
     point at exactly the reported distance from ``x``.
     """
-    pm = as_point_matrix(S)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if pm.count < 1:
-        raise ValueError("cannot take the distance to an empty hull")
-    if xv.shape[0] != pm.dim:
-        raise ValueError(f"dimension mismatch: point has dim {xv.shape[0]}, hull has dim {pm.dim}")
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("query point contains non-finite entries")
+    xv, S = _query_args(x, S, "cannot take the distance to an empty hull")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dist, lam = _min_norm_point(xv, pm.entries, tol)
+    dist, lam = _min_norm_point(xv, S, tol)
     return dist, SimplexCoeffs(lam)
 
 
@@ -264,15 +349,10 @@ def hull_membership(x, S, radius: float, tol: float = 1e-9) -> tuple[bool, Simpl
     the duality-gap lower bound exceeds radius + tol.  Otherwise it solves to
     accuracy tol, and warns if it cannot.
     """
-    pm = as_point_matrix(S)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if pm.count < 1:
-        raise ValueError("membership in an empty hull is undefined")
-    if xv.shape[0] != pm.dim:
-        raise ValueError(f"dimension mismatch: point has dim {xv.shape[0]}, hull has dim {pm.dim}")
+    xv, S = _query_args(x, S, "membership in an empty hull is undefined")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    dist, lam = _min_norm_point(xv, pm.entries, 1e-12, atol=tol, radius=radius)
+    dist, lam = _min_norm_point(xv, S, 1e-12, atol=tol, radius=radius)
     return dist <= radius + tol, SimplexCoeffs(lam)
 
 
@@ -281,7 +361,11 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
 
     The supremum over a convex hull of the distance to a convex set is
     attained at a vertex, so scanning the columns of each matrix against the
-    other hull is exact.  Accuracy: additive tol * max(diam(P), diam(Q)).
+    other hull is exact.  The solver starts at a column's nearest vertex and
+    never moves away, so a column whose nearest-vertex distance is at most
+    the best distance so far cannot raise it: columns are solved in
+    descending order of that bound until it falls to the best.  Accuracy:
+    additive tol * max(diam(P), diam(Q)).
     """
     P = as_point_matrix(Pm)
     Q = as_point_matrix(Qm)
@@ -291,10 +375,25 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
         raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
     atol = tol * max(diameter(P), diameter(Q))
     best = 0.0
-    for A, B in ((P, Q), (Q, P)):
-        for x in A.entries.T:
-            best = max(best, _min_norm_point(x, B.entries, 1e-12, atol=atol)[0])
+    for A, B in ((P.entries, Q.entries), (Q.entries, P.entries)):
+        bound = _nearest_vertex_distances(A, B)
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] <= best:
+                break
+            best = max(best, _min_norm_point(A[:, i], B, 1e-12, atol=atol)[0])
     return best
+
+
+def _nearest_vertex_distances(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """min_j |s_j - x| for every column x of ``X``, on point-major differences."""
+    d, k = S.shape
+    Xt = X.T
+    block = max(1, _BLOCK // (k * d))
+    out = np.empty(Xt.shape[0])
+    for start in range(0, Xt.shape[0], block):
+        D = S.T[None, :, :] - Xt[start : start + block, None, :]
+        out[start : start + block] = np.sqrt((D * D).sum(-1).min(-1))
+    return out
 
 
 def well_separation(K: VPolytope, tol: float = 1e-6) -> float:
@@ -309,8 +408,4 @@ def well_separation(K: VPolytope, tol: float = 1e-6) -> float:
     delta_k = K.diameter()
     if delta_k == 0.0:
         return 0.0
-    V = K.vertices.entries
-    worst = math.inf
-    for ell in range(K.count):
-        worst = min(worst, _min_norm_point(V[:, ell], np.delete(V, ell, axis=1), tol)[0])
-    return worst / delta_k
+    return min(_leave_one_out(K.vertices.entries, tol)) / delta_k

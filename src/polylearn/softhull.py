@@ -23,6 +23,8 @@ import numpy as np
 from .geometry import (
     PointMatrix,
     SimplexCoeffs,
+    _hull_distances,
+    _leave_one_out,
     as_point_matrix,
     diameter,
     hull_membership,
@@ -112,11 +114,22 @@ def in_soft_hull(
     The witness is the best convex combination found; when the verdict is
     True it reconstructs ``w`` within eps*diamW + tol.
     """
+    return hull_membership(w, S, radius=_soft_radius(epsilon, diamW), tol=tol)
+
+
+def _soft_radius(epsilon: float, diamW: float) -> float:
     if diamW < 0:
         raise ValueError("diamW must be nonnegative")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    return hull_membership(w, S, radius=epsilon * diamW, tol=tol)
+    return epsilon * diamW
+
+
+def _soft_hull_cover(X: np.ndarray, S: np.ndarray, epsilon: float, diamW: float, tol: float):
+    """``in_soft_hull`` for every column of ``X``: (verdicts, m x |S| witness weights)."""
+    radius = _soft_radius(epsilon, diamW)
+    dists, Lam = _hull_distances(X, S, 1e-12, atol=tol, radius=radius)
+    return dists <= radius + tol, Lam
 
 
 def is_env(T, W, epsilon: float, tol: float = 1e-9, diam_w: float | None = None) -> bool:
@@ -130,11 +143,7 @@ def is_env(T, W, epsilon: float, tol: float = 1e-9, diam_w: float | None = None)
     if Tm.dim != Wm.dim:
         raise ValueError("dimension mismatch between T and W")
     dw = diameter(Wm) if diam_w is None else diam_w
-    for j in range(Wm.count):
-        inside, _ = in_soft_hull(Wm.entries[:, j], Tm, epsilon, dw, tol)
-        if not inside:
-            return False
-    return True
+    return bool(_soft_hull_cover(Wm.entries, Tm.entries, epsilon, dw, tol)[0].all())
 
 
 def is_eps_delta_env(
@@ -155,15 +164,12 @@ def is_eps_delta_env(
         return False
     if Tm.count == 1:
         return True
-    idx = np.arange(Tm.count)
-    for ell in range(Tm.count):
-        others = Tm.entries[:, idx != ell]
-        # separation clause: dist(t, CH(T minus t)) > delta*diam(W) - tol
-        radius = max(params.delta * dw - 2.0 * tol, 0.0)
-        ok, _ = hull_membership(Tm.entries[:, ell], others, radius=radius, tol=tol)
-        if ok:  # within delta*diam - tol of the others' hull, separation fails
-            return False
-    return True
+    # separation clause: dist(t, CH(T minus t)) > delta*diam(W) - tol; any t
+    # within delta*diam - tol of the others' hull fails it.
+    radius = max(params.delta * dw - 2.0 * tol, 0.0)
+    return not any(
+        dist <= radius + tol for dist in _leave_one_out(Tm.entries, 1e-12, atol=tol, radius=radius)
+    )
 
 
 def _greedy_separated(W: np.ndarray, candidates: np.ndarray, min_dist: float) -> list[int]:
@@ -218,9 +224,8 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     Q = Wm.select(kept)
 
     if kept and is_eps_delta_env(Q, Wm, params, tol, diam_w=dw):
-        witnesses = tuple(
-            in_soft_hull(X[:, j], Q, params.epsilon, dw, tol)[1] for j in range(n)
-        )
+        _, Lam = _soft_hull_cover(X, Q.entries, params.epsilon, dw, tol)
+        witnesses = tuple(SimplexCoeffs(lam) for lam in Lam)
         return EnvelopeResult(
             found=True,
             Q=Q,

@@ -160,6 +160,22 @@ def nnls_hull_distance(x, S) -> float:
     return float(np.linalg.norm(S @ (lam / lam.sum()) - x))
 
 
+def full_scan_hausdorff(P, Q, tol: float = 1e-6) -> float:
+    """Hausdorff distance of CH(P) and CH(Q) by solving every column against the other hull.
+
+    The per-column scan ``hausdorff`` ran before it learned to skip columns
+    whose nearest-vertex distance cannot raise the maximum.
+    """
+    from polylearn.geometry import _min_norm_point, diameter
+
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    atol = tol * max(diameter(P), diameter(Q))
+    return max(
+        _min_norm_point(x, B, 1e-12, atol=atol)[0] for A, B in ((P, Q), (Q, P)) for x in A.T
+    )
+
+
 def point_to_polygon_distance(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Distances from query points (N x 2) to a convex polygon (hull of vertices).
 

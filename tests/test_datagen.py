@@ -188,3 +188,34 @@ def test_validate_rejects_corruption():
     )
     with pytest.raises(ValueError):
         corrupted.validate()
+
+
+def test_validate_rejects_empty_latent_set():
+    M = gen_well_separated_polytope(5, 3, 0.4, seed=14)
+    empty = PointMatrix(np.zeros((5, 0)))
+    inst = LkpInstance(
+        M=M, P=empty, A=empty, w0=0.2, sigma0=0.0, cluster_sets=(np.arange(0),) * 3
+    )
+    with pytest.raises(ValueError, match="no latent points"):
+        inst.validate()
+
+
+def test_validate_names_first_latent_point_outside():
+    # Two points outside CH(M) beyond the clusters; the observations move with
+    # them so that sigma0 still holds and the hull check is the one to fail.
+    M = gen_well_separated_polytope(5, 3, 0.4, seed=14)
+    inst = gen_lkp(M, 100, 0.2, noise_scale=0.1, seed=15)
+    bad_P = inst.P.entries.copy()
+    bad_P[:, [90, 75]] = M.vertices.entries[:, [0, 1]] * 10.0
+    corrupted = LkpInstance(
+        M=inst.M,
+        P=PointMatrix(bad_P),
+        A=PointMatrix(bad_P + (inst.A.entries - inst.P.entries)),
+        w0=inst.w0,
+        sigma0=inst.sigma0,
+        cluster_sets=inst.cluster_sets,
+    )
+    expected, _ = dist_to_hull(bad_P[:, 75], M.vertices, tol=1e-7)
+    with pytest.raises(ValueError, match=r"latent point 75 lies \S+ outside CH\(M\)") as err:
+        corrupted.validate()
+    assert float(str(err.value).split()[4]) == pytest.approx(expected, rel=1e-6)

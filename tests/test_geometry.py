@@ -12,16 +12,20 @@ from polylearn import (
     VPolytope,
     diameter,
     dist_to_hull,
+    gen_lkp,
     gen_well_separated_polytope,
     hausdorff,
     hull_membership,
     random_probes,
     well_separation,
 )
+from polylearn import geometry
+from polylearn.geometry import _hull_distances, _min_norm_point
 
 from reference import (
     boundary_hausdorff_2d,
     exact_hull_distance,
+    full_scan_hausdorff,
     grid_hull_distance,
     nnls_hull_distance,
 )
@@ -280,3 +284,125 @@ def test_hull_membership_agrees_with_distance(seed, d, k, shape, exponent, facto
         assert np.linalg.norm(S @ w.weights - x) <= radius + tol
     elif dist > radius + tol + 1e-6 * scale:
         assert not inside
+
+
+def _kernel_instance(seed, d, k, shape, exponent):
+    """A hull S and query columns on its vertices, on faces, inside and outside, with repeats."""
+    rng = np.random.default_rng(seed)
+    _, S = _hull_instance(seed, d, k, shape, exponent)
+    unit = 10.0**exponent
+    face = rng.choice(k, size=min(k, 2), replace=False)
+    cols = [
+        S[:, rng.integers(k)],
+        S[:, face] @ rng.dirichlet(np.ones(face.size)),
+        S @ rng.dirichlet(np.ones(k)),
+        S[:, face] @ rng.dirichlet(np.ones(face.size)) + 1e-3 * unit * rng.standard_normal(d),
+        S.mean(axis=1) + 3.0 * unit * rng.standard_normal(d),
+        S.mean(axis=1) + 3.0 * unit * rng.standard_normal(d),
+    ]
+    X = np.column_stack(cols)
+    return X[:, rng.integers(0, X.shape[1], X.shape[1] + 3)], S
+
+
+_kernel_instances = dict(_hull_instances, d=st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_kernel_instances)
+def test_hull_distances_kernel_matches_solver_and_reference(seed, d, k, shape, exponent):
+    X, S = _kernel_instance(seed, d, k, shape, exponent)
+    tol = 1e-6
+    dists, Lam = _hull_distances(X, S, tol)
+    for x, got, lam in zip(X.T, dists, Lam):
+        scale = float(np.linalg.norm(S - x[:, None], axis=0).max())
+        # Rounding of S @ lam - x and of the reference, relative to the entries.
+        rounding = 1e-12 * max(np.abs(S).max(), np.abs(x).max())
+        SimplexCoeffs(lam)
+        assert abs(np.linalg.norm(S @ lam - x) - got) <= rounding
+        assert abs(got - exact_hull_distance(x, S)) <= tol * scale + rounding
+        assert abs(got - _min_norm_point(x, S, tol)[0]) <= tol * scale + rounding
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_kernel_instances, factor=st.floats(0.0, 2.0))
+def test_hull_distances_membership_matches_hull_membership(seed, d, k, shape, exponent, factor):
+    X, S = _kernel_instance(seed, d, k, shape, exponent)
+    exact = np.array([exact_hull_distance(x, S) for x in X.T])
+    radius, tol = factor * float(np.median(exact)), 1e-9 * 10.0**exponent
+    dists, _ = _hull_distances(X, S, 1e-12, atol=tol, radius=radius)
+    for x, got, true in zip(X.T, dists, exact):
+        if abs(true - (radius + tol)) > 2.0 * tol:  # off the tolerance band
+            assert (got <= radius + tol) == hull_membership(x, S, radius=radius, tol=tol)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_kernel_instances, membership=st.booleans())
+def test_hull_distances_bit_identical_alone_batched_permuted(seed, d, k, shape, exponent, membership):
+    X, S = _kernel_instance(seed, d, k, shape, exponent)
+    args = (1e-12, 1e-9 * 10.0**exponent, 0.1 * 10.0**exponent) if membership else (1e-6,)
+    dists, Lam = _hull_distances(X, S, *args)
+    perm = np.random.default_rng(seed).permutation(X.shape[1])
+    pd, pL = _hull_distances(X[:, perm], S, *args)
+    assert np.array_equal(pd, dists[perm]) and np.array_equal(pL, Lam[perm])
+    twice = _hull_distances(np.hstack([X, X]), S, *args)
+    assert np.array_equal(twice[0], np.tile(dists, 2)) and np.array_equal(twice[1], np.vstack([Lam, Lam]))
+    for i in range(X.shape[1]):
+        one_d, one_L = _hull_distances(X[:, [i]], S, *args)
+        assert one_d[0] == dists[i] and np.array_equal(one_L[0], Lam[i])
+
+
+def test_hull_distances_empty_query_set():
+    dists, Lam = _hull_distances(np.zeros((3, 0)), np.eye(3), 1e-6)
+    assert dists.shape == (0,) and Lam.shape == (0, 3)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    real = geometry._min_norm_point
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_min_norm_point", counted)
+    return calls
+
+
+def test_hull_distances_fast_path_and_fallback_both_run(monkeypatch):
+    # A desk-sized LkP instance validates on the exact candidates alone; a
+    # point just outside the middle of a triangle's edge needs the solver.
+    M = gen_well_separated_polytope(50, 3, 0.65, seed=3)
+    inst = gen_lkp(M, 5000, 0.1, 4e-5, seed=4, validate=False)
+    calls = _count_solves(monkeypatch)
+    inst.validate()
+    assert calls == []
+    S = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    dists, _ = _hull_distances(np.array([[0.5], [-1e-3]]), S, 1e-8)
+    assert len(calls) >= 1
+    assert dists[0] == pytest.approx(1e-3, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    counts=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    exponent=st.integers(-6, 6),
+)
+def test_hausdorff_matches_full_scan_on_random_sets(seed, d, counts, exponent):
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((d, counts[0])) * 10.0**exponent
+    Q = (rng.standard_normal((d, counts[1])) + rng.standard_normal((d, 1))) * 10.0**exponent
+    diam = max(diameter(P), diameter(Q))
+    assert abs(hausdorff(P, Q) - full_scan_hausdorff(P, Q)) <= 1e-12 * diam
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.02])
+def test_hausdorff_on_noisy_probes_matches_full_scan_with_few_solves(monkeypatch, eps):
+    K = gen_well_separated_polytope(10, 6, 0.3, seed=0)
+    answers = random_probes(NoisyOracle(K, eps, seed=100), 2000, seed=200).answers.entries
+    expected = full_scan_hausdorff(answers, K.vertices.entries)
+    calls = _count_solves(monkeypatch)
+    got = hausdorff(answers, K.vertices)
+    assert len(calls) < 100
+    assert abs(got - expected) <= 1e-12 * max(diameter(answers), K.diameter())

@@ -10,7 +10,9 @@ from scipy.optimize import linear_sum_assignment
 from polylearn import (
     PointMatrix,
     PruneError,
+    SubsetSmoothingOracle,
     VPolytope,
+    audit_answer,
     audit_projected_oracle,
     exact_oracle,
     gen_lkp,
@@ -24,6 +26,7 @@ from polylearn import (
     svd_project,
     well_separation,
 )
+from polylearn.learner import _unit_directions
 
 
 def matched_errors(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -306,3 +309,23 @@ def test_projected_separation_preserved():
     M_hat = proj.basis.T @ inst.M.vertices.entries
     sep_hat = well_separation(VPolytope(M_hat))
     assert sep_hat >= delta_measured * (1.0 - 1.0 / 100.0)
+
+
+@pytest.mark.parametrize("noise, fraction", [(3e-5, 0.1), (3e-2, 0.05)])
+def test_audit_projected_oracle_matches_per_trial_audit(noise, fraction):
+    # The batched audit against one audit_answer call per trial.
+    inst = small_instance(seed=30, noise=noise)
+    audit = audit_projected_oracle(inst, fraction, trials=300, seed=31)
+    proj = svd_project(inst.A, inst.k)
+    K_hat = VPolytope(PointMatrix(proj.project_points(inst.M.vertices)))
+    U = _unit_directions(np.random.default_rng(31), 300, inst.k, None)
+    answers = SubsetSmoothingOracle(proj.projected, fraction).query_batch(U)
+    delta_k = inst.M.diameter()
+    audits = [
+        audit_answer(K_hat, u, x, audit.epsilon, tol=1e-8 * max(delta_k, 1.0),
+                     reference_diameter=delta_k, dist_tol=1e-10)
+        for u, x in zip(U, answers.T)
+    ]
+    assert audit.passes == sum(a.passed for a in audits)
+    assert abs(audit.worst_containment_slack - max(a.containment_slack for a in audits)) <= 1e-12
+    assert abs(audit.worst_optimality_slack - min(a.optimality_slack for a in audits)) <= 1e-12
