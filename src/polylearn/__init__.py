@@ -82,7 +82,6 @@ from .softhull import (
     EnvelopeParams,
     EnvelopeResult,
     find_soft_envelope,
-    find_soft_envelope_sqrt,
     in_soft_hull,
     is_env,
     is_eps_delta_env,
@@ -137,7 +136,6 @@ __all__ = [
     "is_env",
     "is_eps_delta_env",
     "find_soft_envelope",
-    "find_soft_envelope_sqrt",
     "SvdProjection",
     "KolpOutput",
     "PruneError",

@@ -44,9 +44,9 @@ from .datagen import (
     gen_two_gaussian_mixture,
     gen_well_separated_polytope,
 )
-from .geometry import PointMatrix, VPolytope, well_separation
+from .geometry import PointMatrix, VPolytope, _nearest_vertex_distances, well_separation
 from .kolp import audit_projected_oracle, kolp_run
-from .learner import _nearest_distances, hausdorff_learn, list_learn
+from .learner import hausdorff_learn, list_learn
 from .oracles import exact_oracle, noisy_oracle
 from .rsh import (
     SeparationVerdict,
@@ -55,7 +55,7 @@ from .rsh import (
     recommended_query_budget,
     separate_via_opt,
 )
-from .softhull import EnvelopeParams, find_soft_envelope, find_soft_envelope_sqrt
+from .softhull import EnvelopeParams, find_soft_envelope
 
 __all__ = ["main", "save_matrix", "load_matrix", "write_report"]
 
@@ -369,11 +369,19 @@ def _cmd_list_learn(args, constants, stage) -> _Outcome:
 
 def _cmd_softhull(args, constants, stage) -> _Outcome:
     W = _load_points(args, "points")
+    eps3 = args.eps3
+    if eps3 is None:  # the square-root default eps3 = 4*sqrt(eps) needs delta > 16*sqrt(eps)
+        if args.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        root = math.sqrt(args.epsilon)
+        if args.delta <= 16.0 * root:
+            raise ValueError(
+                f"requires delta > 16*sqrt(epsilon): got delta = {args.delta}, "
+                f"16*sqrt(epsilon) = {16.0 * root:.6g}"
+            )
+        eps3 = 4.0 * root
     with stage("envelope"):
-        if args.eps3 is None:
-            result = find_soft_envelope_sqrt(W, args.epsilon, args.delta)
-        else:
-            result = find_soft_envelope(W, EnvelopeParams(args.epsilon, args.delta, args.eps3))
+        result = find_soft_envelope(W, EnvelopeParams(args.epsilon, args.delta, eps3))
     return _Outcome({
         "found": result.found,
         "q_indices": list(result.q_indices),
@@ -414,7 +422,7 @@ def _cmd_kolp(args, constants, stage) -> _Outcome:
     }
     bounds = {}
     if truth is not None:
-        per_vertex = _nearest_distances(truth.vertices.entries, out.vertex_estimates.entries)
+        per_vertex = _nearest_vertex_distances(truth.vertices.entries, out.vertex_estimates.entries)
         target = args.delta * truth.diameter() / 5.0
         results.update(
             per_vertex_error=per_vertex.tolist(),

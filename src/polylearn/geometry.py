@@ -352,6 +352,8 @@ def hull_membership(x, S, radius: float, tol: float = 1e-9) -> tuple[bool, Simpl
     xv, S = _query_args(x, S, "membership in an empty hull is undefined")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     dist, lam = _min_norm_point(xv, S, 1e-12, atol=tol, radius=radius)
     return dist <= radius + tol, SimplexCoeffs(lam)
 

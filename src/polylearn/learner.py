@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
-from .geometry import PointMatrix, VPolytope, hausdorff, well_separation
+from .geometry import PointMatrix, VPolytope, _nearest_vertex_distances, hausdorff, well_separation
 from .oracles import OptOracle
 
 __all__ = [
@@ -85,14 +85,6 @@ def _unit_directions(
         U[bad] = rng.standard_normal((int(bad.sum()), U.shape[1]))
         norms = np.linalg.norm(U, axis=1, keepdims=True)
     return U / norms
-
-
-def _nearest_distances(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Distance from each column of V to its nearest column of X."""
-    sq_v = np.einsum("ij,ij->j", V, V)
-    sq_x = np.einsum("ij,ij->j", X, X)
-    d2 = sq_v[:, None] + sq_x[None, :] - 2.0 * (V.T @ X)
-    return np.sqrt(np.clip(d2.min(axis=1), 0.0, None))
 
 
 def random_probes(
@@ -222,7 +214,7 @@ def list_learn(
     per_vertex = None
     success = None
     if truth is not None:
-        per_vertex = _nearest_distances(truth.vertices.entries, probes.answers.entries)
+        per_vertex = _nearest_vertex_distances(truth.vertices.entries, probes.answers.entries)
         success = bool(per_vertex.max() <= delta * truth.diameter() / 10.0)
     return probes, LearnReport(
         query_count=m,

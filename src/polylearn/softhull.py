@@ -25,6 +25,7 @@ from .geometry import (
     SimplexCoeffs,
     _hull_distances,
     _leave_one_out,
+    _min_norm_point,
     as_point_matrix,
     diameter,
     hull_membership,
@@ -37,7 +38,6 @@ __all__ = [
     "is_env",
     "is_eps_delta_env",
     "find_soft_envelope",
-    "find_soft_envelope_sqrt",
 ]
 
 
@@ -114,26 +114,29 @@ def in_soft_hull(
     The witness is the best convex combination found; when the verdict is
     True it reconstructs ``w`` within eps*diamW + tol.
     """
-    return hull_membership(w, S, radius=_soft_radius(epsilon, diamW), tol=tol)
+    return hull_membership(w, S, radius=_soft_radius(epsilon, diamW, tol), tol=tol)
 
 
-def _soft_radius(epsilon: float, diamW: float) -> float:
+def _soft_radius(epsilon: float, diamW: float, tol: float) -> float:
+    """eps*diamW, once epsilon, diamW and the tolerance are checked to be nonnegative."""
     if diamW < 0:
         raise ValueError("diamW must be nonnegative")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     return epsilon * diamW
 
 
 def _soft_hull_cover(X: np.ndarray, S: np.ndarray, epsilon: float, diamW: float, tol: float):
     """``in_soft_hull`` for every column of ``X``: (verdicts, m x |S| witness weights)."""
-    radius = _soft_radius(epsilon, diamW)
+    radius = _soft_radius(epsilon, diamW, tol)
     dists, Lam = _hull_distances(X, S, 1e-12, atol=tol, radius=radius)
     return dists <= radius + tol, Lam
 
 
-def is_env(T, W, epsilon: float, tol: float = 1e-9, diam_w: float | None = None) -> bool:
-    """Does the soft hull of T cover every point of W?"""
+def _envelope_args(T, W, diam_w: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Checked (T, W) entries and diam(W) for the envelope checks."""
     Tm = as_point_matrix(T)
     Wm = as_point_matrix(W)
     if Tm.count == 0:
@@ -142,8 +145,34 @@ def is_env(T, W, epsilon: float, tol: float = 1e-9, diam_w: float | None = None)
         raise ValueError("W must be nonempty")
     if Tm.dim != Wm.dim:
         raise ValueError("dimension mismatch between T and W")
-    dw = diameter(Wm) if diam_w is None else diam_w
-    return bool(_soft_hull_cover(Wm.entries, Tm.entries, epsilon, dw, tol)[0].all())
+    return Tm.entries, Wm.entries, diameter(Wm) if diam_w is None else diam_w
+
+
+def _envelope_witnesses(
+    T: np.ndarray, W: np.ndarray, params: EnvelopeParams, dw: float, tol: float
+) -> np.ndarray | None:
+    """The |W| x |T| coverage weights when T is an (eps, delta)-envelope of W, else None.
+
+    Coverage is one kernel call; the separation clause solves each column of
+    T against the hull of the others and stops at the first failure.
+    """
+    covered, Lam = _soft_hull_cover(W, T, params.epsilon, dw, tol)
+    if not covered.all():
+        return None
+    # separation clause: dist(t, CH(T minus t)) > delta*diam(W) - tol; any t
+    # within delta*diam - tol of the others' hull fails it.
+    radius = max(params.delta * dw - 2.0 * tol, 0.0)
+    if T.shape[1] > 1 and any(
+        dist <= radius + tol for dist in _leave_one_out(T, 1e-12, atol=tol, radius=radius)
+    ):
+        return None
+    return Lam
+
+
+def is_env(T, W, epsilon: float, tol: float = 1e-9, diam_w: float | None = None) -> bool:
+    """Does the soft hull of T cover every point of W?"""
+    T, W, dw = _envelope_args(T, W, diam_w)
+    return bool(_soft_hull_cover(W, T, epsilon, dw, tol)[0].all())
 
 
 def is_eps_delta_env(
@@ -155,21 +184,10 @@ def is_eps_delta_env(
     a singleton T passes the separation clause vacuously.  The default tol
     is 1e-9*diam(W).
     """
-    Tm = as_point_matrix(T)
-    Wm = as_point_matrix(W)
-    dw = diameter(Wm) if diam_w is None else diam_w
+    T, W, dw = _envelope_args(T, W, diam_w)
     if tol is None:
         tol = 1e-9 * max(dw, 1.0)
-    if not is_env(Tm, Wm, params.epsilon, tol, diam_w=dw):
-        return False
-    if Tm.count == 1:
-        return True
-    # separation clause: dist(t, CH(T minus t)) > delta*diam(W) - tol; any t
-    # within delta*diam - tol of the others' hull fails it.
-    radius = max(params.delta * dw - 2.0 * tol, 0.0)
-    return not any(
-        dist <= radius + tol for dist in _leave_one_out(Tm.entries, 1e-12, atol=tol, radius=radius)
-    )
+    return _envelope_witnesses(T, W, params, dw, tol) is not None
 
 
 def _greedy_separated(W: np.ndarray, candidates: np.ndarray, min_dist: float) -> list[int]:
@@ -193,7 +211,8 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     distance >= eps3*diam(W) from it, take a greedy maximal 2*eps3*diam(W)-
     separated subset Q of the survivors (ascending column order), and accept
     Q only if it passes the full envelope check.  Points whose far set is
-    empty are never dropped.
+    empty are never dropped.  Each point is decided by one solve against its
+    far set; the envelope check's coverage weights are the certificate.
     """
     Wm = as_point_matrix(W)
     if Wm.count == 0:
@@ -202,12 +221,13 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     dw = diameter(Wm)
     if tol is None:
         tol = 1e-9 * max(dw, 1.0)
+    radius = _soft_radius(params.epsilon, dw, tol)
     X = Wm.entries
     n = Wm.count
 
     if dw == 0.0:
-        # all points coincide; the first column is the whole envelope
-        kept = [0]
+        # all points coincide: no far sets, and the greedy pass keeps the first
+        survivors = np.arange(n)
     else:
         far_radius = params.epsilon3 * dw
         sq = np.einsum("ij,ij->j", X, X)
@@ -215,52 +235,25 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
         for j in range(n):
             d2 = sq + sq[j] - 2.0 * (X[:, j] @ X)
             far = np.flatnonzero(d2 >= far_radius * far_radius)
-            if far.size == 0:
-                continue
-            inside, _ = in_soft_hull(X[:, j], X[:, far], params.epsilon, dw, tol)
-            pruned[j] = inside
+            if far.size:
+                dist = _min_norm_point(X[:, j], X[:, far], 1e-12, atol=tol, radius=radius)[0]
+                pruned[j] = dist <= radius + tol
         survivors = np.flatnonzero(~pruned)
-        kept = _greedy_separated(X, survivors, 2.0 * params.epsilon3 * dw)
+    kept = _greedy_separated(X, survivors, 2.0 * params.epsilon3 * dw)
     Q = Wm.select(kept)
 
-    if kept and is_eps_delta_env(Q, Wm, params, tol, diam_w=dw):
-        _, Lam = _soft_hull_cover(X, Q.entries, params.epsilon, dw, tol)
-        witnesses = tuple(SimplexCoeffs(lam) for lam in Lam)
-        return EnvelopeResult(
-            found=True,
-            Q=Q,
-            q_indices=tuple(kept),
-            params=params,
-            diam_w=dw,
-            certificate=witnesses,
-            warnings=tuple(param_warnings),
-        )
+    Lam = _envelope_witnesses(Q.entries, X, params, dw, tol) if kept else None
+    found = Lam is not None
     return EnvelopeResult(
-        found=False,
-        Q=None,
+        found=found,
+        Q=Q if found else None,
         q_indices=tuple(kept),
         params=params,
         diam_w=dw,
-        reason=(
+        certificate=tuple(SimplexCoeffs(lam) for lam in Lam) if found else None,
+        reason=None if found else (
             f"candidate set of size {len(kept)} (from {survivors.size} survivors) "
             "failed the envelope check"
         ),
         warnings=tuple(param_warnings),
     )
-
-
-def find_soft_envelope_sqrt(W, epsilon: float, delta: float, tol: float | None = None) -> EnvelopeResult:
-    """Envelope extraction with the square-root default eps3 = 4*sqrt(eps).
-
-    Requires delta > 16*sqrt(epsilon); the matching radius of the output
-    becomes 8*sqrt(epsilon)*diam(W).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if delta <= 16.0 * np.sqrt(epsilon):
-        raise ValueError(
-            f"requires delta > 16*sqrt(epsilon): got delta = {delta}, "
-            f"16*sqrt(epsilon) = {16.0 * np.sqrt(epsilon):.6g}"
-        )
-    params = EnvelopeParams(epsilon=epsilon, delta=delta, epsilon3=4.0 * np.sqrt(epsilon))
-    return find_soft_envelope(W, params, tol)

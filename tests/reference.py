@@ -6,7 +6,9 @@ by entirely different means than the library's solver; the boundary sampler
 measures Hausdorff distance without ever calling the library's
 implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
-the margin depends on.
+the margin depends on.  ``full_scan_hausdorff`` and ``stepwise_envelope`` are
+the exception: they are the library's own earlier procedures, kept to pin
+that the restructured paths return the same bits.
 """
 
 from __future__ import annotations
@@ -269,6 +271,62 @@ def naive_envelope(W: np.ndarray, epsilon: float, diam_w: float) -> list[int]:
         if not inside:
             kept.append(j)
     return kept
+
+
+def stepwise_envelope(W, params, tol=None):
+    """``find_soft_envelope`` composed from the public per-point calls.
+
+    The procedure as it ran before envelope extraction called the solver
+    directly: one ``in_soft_hull`` per point against its far set, the greedy
+    thinning, ``is_eps_delta_env`` on the candidate, and a second coverage
+    pass for the witnesses.
+    """
+    from polylearn import (
+        EnvelopeResult,
+        SimplexCoeffs,
+        as_point_matrix,
+        diameter,
+        in_soft_hull,
+        is_eps_delta_env,
+    )
+    from polylearn.geometry import _hull_distances
+
+    Wm = as_point_matrix(W)
+    param_warnings = params.warn_if_invalid()
+    dw = diameter(Wm)
+    if tol is None:
+        tol = 1e-9 * max(dw, 1.0)
+    X = Wm.entries
+    if dw == 0.0:
+        kept, survivors = [0], list(range(Wm.count))
+    else:
+        far_radius = params.epsilon3 * dw
+        sq = np.einsum("ij,ij->j", X, X)
+        survivors = []
+        for j in range(Wm.count):
+            d2 = sq + sq[j] - 2.0 * (X[:, j] @ X)
+            far = np.flatnonzero(d2 >= far_radius * far_radius)
+            if far.size == 0 or not in_soft_hull(X[:, j], X[:, far], params.epsilon, dw, tol)[0]:
+                survivors.append(j)
+        kept = []
+        for j in survivors:
+            if all(np.linalg.norm(X[:, j] - X[:, i]) > 2.0 * params.epsilon3 * dw for i in kept):
+                kept.append(j)
+    Q = Wm.select(kept)
+    if kept and is_eps_delta_env(Q, Wm, params, tol, diam_w=dw):
+        _, Lam = _hull_distances(X, Q.entries, 1e-12, atol=tol, radius=params.epsilon * dw)
+        return EnvelopeResult(
+            found=True, Q=Q, q_indices=tuple(kept), params=params, diam_w=dw,
+            certificate=tuple(SimplexCoeffs(lam) for lam in Lam), warnings=tuple(param_warnings),
+        )
+    return EnvelopeResult(
+        found=False, Q=None, q_indices=tuple(kept), params=params, diam_w=dw,
+        reason=(
+            f"candidate set of size {len(kept)} (from {len(survivors)} survivors) "
+            "failed the envelope check"
+        ),
+        warnings=tuple(param_warnings),
+    )
 
 
 def full_dimensional_margin_samples(V, a, m: int, trials: int, seed: int) -> np.ndarray:

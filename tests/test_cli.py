@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -272,6 +273,16 @@ def test_explicit_point_file(tmp_path):
          "--trials", 5000, "--seed", 1, "--out", rpt]
     )
     assert code2 == 2
+
+
+def test_softhull_sqrt_default_precondition_exits_2(tmp_path, capsys):
+    # without --eps3 the square-root default eps3 = 4*sqrt(epsilon) applies
+    code = run_cli(
+        ["softhull", "--fixture", "two-cluster", "--epsilon", 0.01, "--delta", 0.1,
+         "--out", tmp_path / "r.json"]
+    )
+    assert code == 2
+    assert re.search(r"delta > 16\*sqrt\(epsilon\)", capsys.readouterr().err)
 
 
 def test_constants_override_parsing(tmp_path):

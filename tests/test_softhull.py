@@ -1,21 +1,26 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylearn import (
     EnvelopeParams,
     PointMatrix,
     diameter,
     find_soft_envelope,
-    find_soft_envelope_sqrt,
     fixtures,
+    hull_membership,
     in_soft_hull,
     is_env,
     is_eps_delta_env,
+    softhull,
 )
 
-from reference import naive_envelope
+from reference import naive_envelope, stepwise_envelope
+from test_acceptance import _random_cluster_instance
 
 
 def spec_params():
@@ -169,18 +174,13 @@ def test_envelope_rigid_motion_invariance():
     assert r1.q_indices == r2.q_indices
 
 
-def test_sqrt_variant_precondition_error():
-    W = fixtures()["two-cluster"]
-    with pytest.raises(ValueError, match=r"delta > 16\*sqrt\(epsilon\)"):
-        find_soft_envelope_sqrt(W, epsilon=0.01, delta=0.1)
-
-
 def test_sqrt_variant_on_tight_clusters():
+    # the square-root default eps3 = 4*sqrt(eps) (the CLI's, without --eps3);
     # coverage at eps = 1e-4 needs clusters of radius below eps*diam;
     # delta = 0.3 is outside the guaranteed (0, 1/8) range, hence the warning
     W = tight_cluster_pair(5e-5)
     with pytest.warns(RuntimeWarning):
-        res = find_soft_envelope_sqrt(W, epsilon=1e-4, delta=0.3)
+        res = find_soft_envelope(W, EnvelopeParams(1e-4, 0.3, 4.0 * np.sqrt(1e-4)))
     assert res.found
     assert len(res.q_indices) == 2
     # output points sit within 2*eps3*diam = 8*sqrt(eps)*diam of the truth reps
@@ -206,3 +206,89 @@ def test_params_validation_messages():
     assert good.condition_violations() == []
     crossed = EnvelopeParams(epsilon=0.05, delta=0.1, epsilon3=0.01)
     assert any("must exceed" in m for m in crossed.condition_violations())
+
+
+def test_find_soft_envelope_certifies_with_one_cover(monkeypatch):
+    # each point is decided by one solve against its far set, not through
+    # hull_membership, and the envelope check's coverage weights are the
+    # certificate: one kernel call, not a second cover for the witnesses
+    calls = {"kernel": 0, "membership": 0}
+    kernel = softhull._hull_distances
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_membership(*args, **kwargs):
+        calls["membership"] += 1
+        return hull_membership(*args, **kwargs)
+
+    monkeypatch.setattr(softhull, "_hull_distances", counted_kernel)
+    monkeypatch.setattr(softhull, "hull_membership", counted_membership)
+    res = find_soft_envelope(fixtures()["square-plus-midpoint"], EnvelopeParams(0.0005, 0.1, 0.02))
+    assert res.found and res.q_indices == (0, 1, 2, 3)
+    assert calls == {"kernel": 1, "membership": 0}
+
+
+def _random_params(rng) -> EnvelopeParams:
+    return EnvelopeParams(
+        float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.01, 0.4))
+    )
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(["clusters", "cloud", "coincident", "singleton"]),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    n=st.integers(2, 20),
+    tol=st.sampled_from([None, 1e-6]),
+)
+def test_find_soft_envelope_matches_stepwise_reference(kind, seed, dim, n, tol):
+    rng = np.random.default_rng(seed)
+    if kind == "clusters":  # criterion 7's instances
+        W, params, _, k = _random_cluster_instance(rng)
+    elif kind == "cloud":  # assorted parameters: mostly no envelope
+        W, params = rng.standard_normal((dim, n)), _random_params(rng)
+    elif kind == "coincident":  # integer entries: the diameter is exactly zero
+        W, params = np.tile(rng.integers(-4, 5, (dim, 1)).astype(float), (1, n)), _random_params(rng)
+    else:
+        W, params = rng.standard_normal((dim, 1)), _random_params(rng)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"(epsilon3?|delta) = ")
+        got = find_soft_envelope(W, params, tol)
+        want = stepwise_envelope(W, params, tol)
+    assert (got.found, got.q_indices, got.reason, got.diam_w, got.warnings) == (
+        want.found, want.q_indices, want.reason, want.diam_w, want.warnings
+    )
+    if kind == "clusters":
+        assert got.found and len(got.q_indices) == k
+    if want.found:
+        assert got.Q.entries.tobytes() == want.Q.entries.tobytes()
+        assert [c.weights.tobytes() for c in got.certificate] == [
+            c.weights.tobytes() for c in want.certificate
+        ]
+    else:
+        assert got.Q is None and got.certificate is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_soft_envelope(np.zeros((2, 3)), EnvelopeParams(0.01, 0.1, 0.02), tol=-1e-6),
+        lambda: find_soft_envelope(fixtures()["two-cluster"], spec_params(), tol=-1e-6),
+        lambda: hull_membership(np.zeros(2), np.zeros((2, 1)), 0.0, tol=-1e-9),
+        lambda: in_soft_hull(np.zeros(2), np.zeros((2, 1)), 0.1, 1.0, tol=-1e-9),
+        lambda: is_env(fixtures()["two-cluster"], fixtures()["two-cluster"], 0.02, tol=-1e-9),
+        lambda: is_eps_delta_env(
+            fixtures()["two-cluster"], fixtures()["two-cluster"], spec_params(), tol=-1e-9
+        ),
+    ],
+    ids=["envelope-coincident", "envelope", "hull_membership", "in_soft_hull", "is_env",
+         "is_eps_delta_env"],
+)
+def test_negative_tol_is_rejected(call):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"(epsilon3?|delta) = ")
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            call()
