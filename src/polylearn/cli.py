@@ -44,7 +44,7 @@ from .datagen import (
     gen_two_gaussian_mixture,
     gen_well_separated_polytope,
 )
-from .geometry import PointMatrix, VPolytope, _nearest_vertex_distances, well_separation
+from .geometry import PointMatrix, VPolytope, _pairwise_distances, well_separation
 from .kolp import audit_projected_oracle, kolp_run
 from .learner import hausdorff_learn, list_learn
 from .oracles import exact_oracle, noisy_oracle
@@ -222,16 +222,16 @@ def _load_instance_dir(path) -> LkpInstance:
             f"{manifest_path}: need finite numbers with 0 < w0 <= 1 and sigma0 >= 0, "
             f"got w0 = {w0!r}, sigma0 = {sigma0!r}"
         )
+    if not M.dim == P.dim == A.dim:
+        raise ValueError(
+            f"{manifest_path}: M, P and A need one dimension, got {M.dim}, {P.dim}, {A.dim}"
+        )
     M = VPolytope(M)
     radius = sigma0 / math.sqrt(w0) + 1e-12 if sigma0 > 0 else 1e-12
-    clusters = []
-    V = M.vertices.entries
-    for ell in range(M.count):
-        offs = P.entries - V[:, [ell]]
-        d = np.sqrt(np.einsum("ij,ij->j", offs, offs))
-        clusters.append(np.flatnonzero(d <= radius))
+    within = _pairwise_distances(P.entries, M.vertices.entries) <= radius
+    clusters = tuple(np.flatnonzero(column) for column in within.T)
     return LkpInstance(
-        M=M, P=P, A=A, w0=w0, sigma0=sigma0, cluster_sets=tuple(clusters)
+        M=M, P=P, A=A, w0=w0, sigma0=sigma0, cluster_sets=clusters
     )
 
 
@@ -422,7 +422,7 @@ def _cmd_kolp(args, constants, stage) -> _Outcome:
     }
     bounds = {}
     if truth is not None:
-        per_vertex = _nearest_vertex_distances(truth.vertices.entries, out.vertex_estimates.entries)
+        per_vertex = _pairwise_distances(truth.vertices.entries, out.vertex_estimates.entries).min(-1)
         target = args.delta * truth.diameter() / 5.0
         results.update(
             per_vertex_error=per_vertex.tolist(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointMatrix, VPolytope, _hull_distances, well_separation
+from .geometry import PointMatrix, VPolytope, _hull_distances, _pairwise_distances, well_separation
 
 __all__ = [
     "LkpInstance",
@@ -95,8 +95,7 @@ class LkpInstance:
         for ell, idx in enumerate(self.cluster_sets):
             if idx.size < min_count - 1e-9:
                 raise ValueError(f"cluster {ell} has {idx.size} < w0*n points")
-            offs = self.P.entries[:, idx] - V[:, [ell]]
-            worst = float(np.sqrt(np.einsum("ij,ij->j", offs, offs).max())) if idx.size else 0.0
+            worst = float(_pairwise_distances(self.P.entries[:, idx], V[:, [ell]]).max(initial=0.0))
             if worst > radius + tol:
                 raise ValueError(
                     f"cluster {ell} latent point at {worst} > sigma0/sqrt(w0) = {radius}"

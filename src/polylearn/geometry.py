@@ -127,35 +127,41 @@ class SimplexCoeffs:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    def combine(self, S: PointMatrix) -> np.ndarray:
-        """Evaluate the convex combination against the columns of ``S``."""
-        return S.entries @ self.weights
+
+def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The m x n matrix of |x_i - y_j| over the columns of ``X`` (d x m) and ``Y`` (d x n).
+
+    Every distance comes from the explicit difference, never from the Gram
+    form |x|^2 + |y|^2 - 2 x.y, so coincident columns are exactly 0 apart.
+    Rows go in blocks whose point-major (rows x n x d) difference array holds
+    at most ``_BLOCK`` elements (one row at least), each reduced along its
+    contiguous last axis, so a distance does not depend on the block it is in.
+    """
+    Xt = np.ascontiguousarray(X.T)
+    Yt = np.ascontiguousarray(Y.T)
+    out = np.empty((Xt.shape[0], Yt.shape[0]))
+    block = max(1, _BLOCK // max(Yt.size, 1))
+    for start in range(0, Xt.shape[0], block):
+        D = Yt[None, :, :] - Xt[start : start + block, None, :]
+        out[start : start + block] = np.sqrt((D * D).sum(-1))
+    return out
 
 
 def diameter(W) -> float:
     """Largest pairwise Euclidean distance, exact over all pairs.
 
-    Scans all n*(n-1)/2 pairs (chunked Gram computation for large n);
-    returns 0.0 for a single point.
+    Scans the pairs i <= j in row blocks of ``_pairwise_distances``, so a
+    set of coincident points (a single point included) has diameter 0.0.
     """
     pm = as_point_matrix(W)
     if pm.count == 0:
         raise ValueError("diameter of an empty point set is undefined")
     X = pm.entries
     n = pm.count
-    if n == 1:
-        return 0.0
-    sq = np.einsum("ij,ij->j", X, X)
-    best = 0.0
-    chunk = max(1, int(2**22 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        g = X[:, start:stop].T @ X
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * g
-        m = float(d2.max())
-        if m > best:
-            best = m
-    return math.sqrt(max(best, 0.0))
+    rows = max(1, _BLOCK // n)
+    return max(
+        float(_pairwise_distances(X[:, s : s + rows], X[:, s:]).max()) for s in range(0, n, rows)
+    )
 
 
 def _min_norm_point(
@@ -367,7 +373,9 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
     never moves away, so a column whose nearest-vertex distance is at most
     the best distance so far cannot raise it: columns are solved in
     descending order of that bound until it falls to the best.  Accuracy:
-    additive tol * max(diam(P), diam(Q)).
+    additive tol * r, where r is the larger of max_j |p_j - p_0| and
+    max_j |q_j - q_0|, an O(|P| + |Q|) scale with diam/2 <= r <= diam, so the
+    error is at most tol * max(diam(P), diam(Q)).
     """
     P = as_point_matrix(Pm)
     Q = as_point_matrix(Qm)
@@ -375,27 +383,15 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
         raise ValueError("hausdorff distance needs two nonempty point sets")
     if P.dim != Q.dim:
         raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    atol = tol * max(diameter(P), diameter(Q))
+    atol = tol * max(float(_pairwise_distances(A, A[:, :1]).max()) for A in (P.entries, Q.entries))
     best = 0.0
     for A, B in ((P.entries, Q.entries), (Q.entries, P.entries)):
-        bound = _nearest_vertex_distances(A, B)
+        bound = _pairwise_distances(A, B).min(-1)
         for i in np.argsort(-bound, kind="stable"):
             if bound[i] <= best:
                 break
             best = max(best, _min_norm_point(A[:, i], B, 1e-12, atol=atol)[0])
     return best
-
-
-def _nearest_vertex_distances(X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """min_j |s_j - x| for every column x of ``X``, on point-major differences."""
-    d, k = S.shape
-    Xt = X.T
-    block = max(1, _BLOCK // (k * d))
-    out = np.empty(Xt.shape[0])
-    for start in range(0, Xt.shape[0], block):
-        D = S.T[None, :, :] - Xt[start : start + block, None, :]
-        out[start : start + block] = np.sqrt((D * D).sum(-1).min(-1))
-    return out
 
 
 def well_separation(K: VPolytope, tol: float = 1e-6) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .datagen import LkpInstance, _gram_top_eigs
-from .geometry import PointMatrix, _hull_distances
+from .geometry import PointMatrix, _hull_distances, _pairwise_distances
 from .learner import ProbeSet, _unit_directions, random_probes
 from .oracles import SubsetSmoothingOracle
 from .softhull import EnvelopeParams, find_soft_envelope
@@ -108,9 +108,7 @@ def _separation_histogram(X: np.ndarray, cap: int = 512) -> list[tuple[float, in
     if n > cap:
         X = X[:, np.linspace(0, n - 1, cap).astype(int)]
         n = cap
-    sq = np.einsum("ij,ij->j", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    dists = np.sqrt(np.clip(d2[np.triu_indices(n, k=1)], 0.0, None))
+    dists = _pairwise_distances(X, X)[np.triu_indices(n, k=1)]
     counts, edges = np.histogram(dists, bins=8)
     return [(float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
-from .geometry import PointMatrix, VPolytope, _nearest_vertex_distances, hausdorff, well_separation
+from .geometry import PointMatrix, VPolytope, _pairwise_distances, hausdorff, well_separation
 from .oracles import OptOracle
 
 __all__ = [
@@ -214,7 +214,7 @@ def list_learn(
     per_vertex = None
     success = None
     if truth is not None:
-        per_vertex = _nearest_vertex_distances(truth.vertices.entries, probes.answers.entries)
+        per_vertex = _pairwise_distances(truth.vertices.entries, probes.answers.entries).min(-1)
         success = bool(per_vertex.max() <= delta * truth.diameter() / 10.0)
     return probes, LearnReport(
         query_count=m,

@@ -203,6 +203,10 @@ class SubsetSmoothingOracle(OptOracle):
 
     @property
     def reference_diameter(self) -> float:
+        """diam(A) on first use, from O(n^2 d) explicit differences: seconds at
+        n = 5000, d = 50.  Only ``separate_via_opt`` reads it, and nothing in
+        the package hands that function a smoothing oracle.
+        """
         if self._diam is None:
             self._diam = diameter(self._data)
         return self._diam

@@ -26,6 +26,7 @@ from .geometry import (
     _hull_distances,
     _leave_one_out,
     _min_norm_point,
+    _pairwise_distances,
     as_point_matrix,
     diameter,
     hull_membership,
@@ -194,13 +195,15 @@ def _greedy_separated(W: np.ndarray, candidates: np.ndarray, min_dist: float) ->
     """Greedy maximal subset with pairwise distance > min_dist.
 
     Scans candidates in ascending column order; keeps a point when it is
-    farther than min_dist from every point kept so far.
+    farther than min_dist from every point kept so far.  Each kept point
+    rules out, in one row of distances, every candidate within min_dist.
     """
     kept: list[int] = []
-    for j in candidates:
-        p = W[:, j]
-        if all(np.linalg.norm(p - W[:, i]) > min_dist for i in kept):
+    free = np.ones(len(candidates), dtype=bool)
+    for i, j in enumerate(candidates):
+        if free[i]:
             kept.append(int(j))
+            free &= _pairwise_distances(W[:, [j]], W[:, candidates])[0] > min_dist
     return kept
 
 
@@ -230,11 +233,9 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
         survivors = np.arange(n)
     else:
         far_radius = params.epsilon3 * dw
-        sq = np.einsum("ij,ij->j", X, X)
         pruned = np.zeros(n, dtype=bool)
         for j in range(n):
-            d2 = sq + sq[j] - 2.0 * (X[:, j] @ X)
-            far = np.flatnonzero(d2 >= far_radius * far_radius)
+            far = np.flatnonzero(_pairwise_distances(X[:, [j]], X)[0] >= far_radius)
             if far.size:
                 dist = _min_norm_point(X[:, j], X[:, far], 1e-12, atol=tol, radius=radius)[0]
                 pruned[j] = dist <= radius + tol

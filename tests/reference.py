@@ -6,9 +6,10 @@ by entirely different means than the library's solver; the boundary sampler
 measures Hausdorff distance without ever calling the library's
 implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
-the margin depends on.  ``full_scan_hausdorff`` and ``stepwise_envelope`` are
-the exception: they are the library's own earlier procedures, kept to pin
-that the restructured paths return the same bits.
+the margin depends on; ``explicit_diameter`` loops over pairs.
+``full_scan_hausdorff`` and ``stepwise_envelope`` are the exception: they are
+the library's own earlier procedures, kept to pin that the restructured paths
+return the same bits.
 """
 
 from __future__ import annotations
@@ -162,6 +163,20 @@ def nnls_hull_distance(x, S) -> float:
     return float(np.linalg.norm(S @ (lam / lam.sum()) - x))
 
 
+def _pair_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """|a - b| as the square root of the summed squared differences."""
+    return float(np.sqrt(np.sum((a - b) ** 2)))
+
+
+def explicit_diameter(W) -> float:
+    """Largest distance between two columns of ``W``, by a loop over all pairs."""
+    W = np.asarray(W, dtype=np.float64)
+    n = W.shape[1]
+    return max(
+        (_pair_distance(W[:, i], W[:, j]) for i in range(n) for j in range(i + 1, n)), default=0.0
+    )
+
+
 def full_scan_hausdorff(P, Q, tol: float = 1e-6) -> float:
     """Hausdorff distance of CH(P) and CH(Q) by solving every column against the other hull.
 
@@ -279,13 +294,13 @@ def stepwise_envelope(W, params, tol=None):
     The procedure as it ran before envelope extraction called the solver
     directly: one ``in_soft_hull`` per point against its far set, the greedy
     thinning, ``is_eps_delta_env`` on the candidate, and a second coverage
-    pass for the witnesses.
+    pass for the witnesses.  Every distance between points of W, diam(W)
+    included, is one ``_pair_distance``.
     """
     from polylearn import (
         EnvelopeResult,
         SimplexCoeffs,
         as_point_matrix,
-        diameter,
         in_soft_hull,
         is_eps_delta_env,
     )
@@ -293,24 +308,23 @@ def stepwise_envelope(W, params, tol=None):
 
     Wm = as_point_matrix(W)
     param_warnings = params.warn_if_invalid()
-    dw = diameter(Wm)
+    X = Wm.entries
+    n = Wm.count
+    dw = explicit_diameter(X)
     if tol is None:
         tol = 1e-9 * max(dw, 1.0)
-    X = Wm.entries
     if dw == 0.0:
-        kept, survivors = [0], list(range(Wm.count))
+        kept, survivors = [0], list(range(n))
     else:
         far_radius = params.epsilon3 * dw
-        sq = np.einsum("ij,ij->j", X, X)
         survivors = []
-        for j in range(Wm.count):
-            d2 = sq + sq[j] - 2.0 * (X[:, j] @ X)
-            far = np.flatnonzero(d2 >= far_radius * far_radius)
-            if far.size == 0 or not in_soft_hull(X[:, j], X[:, far], params.epsilon, dw, tol)[0]:
+        for j in range(n):
+            far = [i for i in range(n) if _pair_distance(X[:, j], X[:, i]) >= far_radius]
+            if not far or not in_soft_hull(X[:, j], X[:, far], params.epsilon, dw, tol)[0]:
                 survivors.append(j)
         kept = []
         for j in survivors:
-            if all(np.linalg.norm(X[:, j] - X[:, i]) > 2.0 * params.epsilon3 * dw for i in kept):
+            if all(_pair_distance(X[:, j], X[:, i]) > 2.0 * params.epsilon3 * dw for i in kept):
                 kept.append(j)
     Q = Wm.select(kept)
     if kept and is_eps_delta_env(Q, Wm, params, tol, diam_w=dw):

@@ -370,6 +370,19 @@ def test_audit_oracle_bad_manifest_numbers_exit_2(tmp_path, capsys, lkp_dir, key
     assert str(tmp_path / "manifest.json") in capsys.readouterr().err
 
 
+def test_audit_oracle_manifest_dimension_mismatch_exits_2(tmp_path, capsys, lkp_dir):
+    manifest = json.loads((lkp_dir / "manifest.json").read_text())
+    manifest["files"] = {k: str(lkp_dir / v) for k, v in manifest["files"].items()}
+    P = load_matrix(manifest["files"]["P"])
+    save_matrix(tmp_path / "P.mat", PointMatrix(P.entries[:-1]))
+    manifest["files"]["P"] = str(tmp_path / "P.mat")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli(["audit-oracle", "--dir", tmp_path, "--trials", 10,
+                    "--out", tmp_path / "r.json"])
+    assert code == 2
+    assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
+
 def _segment_and_point(tmp_path, point_entries, name="a.mat"):
     vertices = tmp_path / "K.mat"
     save_matrix(vertices, PointMatrix(np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])))

@@ -25,6 +25,7 @@ from polylearn.geometry import _hull_distances, _min_norm_point
 from reference import (
     boundary_hausdorff_2d,
     exact_hull_distance,
+    explicit_diameter,
     full_scan_hausdorff,
     grid_hull_distance,
     nnls_hull_distance,
@@ -178,6 +179,22 @@ def test_diameter_matches_full_scan():
         for j in range(i + 1, 100):
             best = max(best, float(np.linalg.norm(X[:, i] - X[:, j])))
     assert diameter(X) == pytest.approx(best, rel=1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 60),
+    n=st.integers(1, 30),
+    copies=st.integers(2, 20),
+    exponent=st.integers(-6, 6),
+)
+def test_diameter_is_exact_on_duplicated_columns(seed, d, n, copies, exponent):
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((d, n)) + rng.standard_normal((d, 1))) * 10.0**exponent
+    X = X[:, rng.integers(0, n, n + copies)]  # n + copies draws from n columns repeat some
+    assert diameter(X) == explicit_diameter(X)
+    assert diameter(np.tile(X[:, :1], (1, copies))) == 0.0
 
 
 def test_diameter_orthogonal_invariance():

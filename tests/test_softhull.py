@@ -198,6 +198,26 @@ def test_find_envelope_coincident_points():
     assert res.found and res.q_indices == (0,)
 
 
+def test_find_envelope_tiled_float_columns():
+    # equal float columns must measure diam(W) = 0 exactly: with a positive
+    # diameter every far set holds copies of the point, and all are pruned
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        W = np.tile(rng.standard_normal((3, 1)), (1, 5))
+        with pytest.warns(RuntimeWarning, match="delta = "):
+            res = find_soft_envelope(W, EnvelopeParams(0.01, 0.1, 0.02))
+        assert res.found and res.q_indices == (0,) and res.diam_w == 0.0
+
+
+def test_far_set_includes_points_exactly_eps3_diam_away():
+    # far sets hold the points at distance >= eps3*diam(W); on 0, 1, ..., 10
+    # with eps3*diam = 1 exactly, points 1 and 9 are pruned against neighbours
+    W = np.vstack([np.arange(11.0), np.zeros(11)])
+    with pytest.warns(RuntimeWarning):
+        res = find_soft_envelope(W, EnvelopeParams(0.01, 0.5, 0.1))
+    assert res.found and res.q_indices == (0, 10)
+
+
 def test_params_validation_messages():
     bad = EnvelopeParams(epsilon=0.02, delta=0.5, epsilon3=0.08)
     msgs = bad.condition_violations()
@@ -238,7 +258,7 @@ def _random_params(rng) -> EnvelopeParams:
 
 @settings(max_examples=150)
 @given(
-    kind=st.sampled_from(["clusters", "cloud", "coincident", "singleton"]),
+    kind=st.sampled_from(["clusters", "cloud", "coincident", "tiled", "singleton"]),
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(2, 4),
     n=st.integers(2, 20),
@@ -252,6 +272,8 @@ def test_find_soft_envelope_matches_stepwise_reference(kind, seed, dim, n, tol):
         W, params = rng.standard_normal((dim, n)), _random_params(rng)
     elif kind == "coincident":  # integer entries: the diameter is exactly zero
         W, params = np.tile(rng.integers(-4, 5, (dim, 1)).astype(float), (1, n)), _random_params(rng)
+    elif kind == "tiled":  # one float column repeated: the diameter must still be exactly zero
+        W, params = np.tile(rng.standard_normal((dim, 1)), (1, n)), _random_params(rng)
     else:
         W, params = rng.standard_normal((dim, 1)), _random_params(rng)
     with warnings.catch_warnings():
