@@ -481,7 +481,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--constants",
         type=str,
         default="",
-        help="override constants, e.g. c=20,cprime=100,c0=20",
+        help="override constants, e.g. c=20,c0=20",
     )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["Constants", "DEFAULT_CONSTANTS", "parse_constants"]
+
 
 @dataclass(frozen=True)
 class Constants:
@@ -17,13 +19,11 @@ class Constants:
 
     c       enters the learner hypothesis checks (delta^2 >= c*eps*sqrt(d),
             delta^3 >= c*eps) and the pruning parameter eps' = 32*delta^2/c.
-    cprime  enters the probe-count recommendation for hull learning.
     c0      enters the latent-polytope hypothesis checks
             (delta >= sqrt(log k)/sqrt(c0*k) and the sigma0 budget).
     """
 
     c: float = 20.0
-    cprime: float = 100.0
     c0: float = 20.0
 
 
@@ -31,7 +31,7 @@ DEFAULT_CONSTANTS = Constants()
 
 
 def parse_constants(text: str) -> Constants:
-    """Parse a ``c=..,cprime=..,c0=..`` override string (any subset)."""
+    """Parse a ``c=..,c0=..`` override string (any subset)."""
     values = {}
     for part in text.split(","):
         part = part.strip()
@@ -41,12 +41,11 @@ def parse_constants(text: str) -> Constants:
             raise ValueError(f"bad constants entry {part!r}, expected name=value")
         name, raw = part.split("=", 1)
         name = name.strip()
-        if name not in ("c", "cprime", "c0"):
-            raise ValueError(f"unknown constant {name!r} (expected c, cprime, c0)")
+        if name not in ("c", "c0"):
+            raise ValueError(f"unknown constant {name!r} (expected c, c0)")
         values[name] = float(raw)
     base = DEFAULT_CONSTANTS
     return Constants(
         c=values.get("c", base.c),
-        cprime=values.get("cprime", base.cprime),
         c0=values.get("c0", base.c0),
     )

@@ -21,6 +21,7 @@ __all__ = [
     "PointMatrix",
     "VPolytope",
     "SimplexCoeffs",
+    "as_point_matrix",
     "dist_to_hull",
     "hull_membership",
     "hausdorff",

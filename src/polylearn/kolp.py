@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .datagen import LkpInstance, _gram_top_eigs
-from .geometry import PointMatrix, _hull_distances, _pairwise_distances
-from .learner import ProbeSet, _unit_directions, random_probes
-from .oracles import SubsetSmoothingOracle
+from .geometry import PointMatrix, _hull_distances, _pairwise_distances, as_point_matrix
+from .learner import ProbeSet, random_probes
+from .oracles import SubsetSmoothingOracle, _unit_directions
 from .softhull import EnvelopeParams, find_soft_envelope
 
 __all__ = [
@@ -71,7 +71,7 @@ def svd_project(A, k: int) -> SvdProjection:
     each basis vector is sign-normalized (largest-magnitude entry positive)
     so results are deterministic and projecting twice is idempotent.
     """
-    Am = A if isinstance(A, PointMatrix) else PointMatrix(A)
+    Am = as_point_matrix(A)
     d, n = Am.dim, Am.count
     if n == 0:
         raise ValueError("cannot project an empty matrix")
@@ -212,7 +212,7 @@ def prune_to_k(
     radius doubled up to three times.  Raises PruneError with per-attempt
     diagnostics when no attempt yields exactly k points.
     """
-    Wm = W if isinstance(W, PointMatrix) else PointMatrix(W)
+    Wm = as_point_matrix(W)
     if k < 1:
         raise ValueError("k must be positive")
     if Wm.count < k:
@@ -251,7 +251,7 @@ def kolp_run(
     estimates back through the basis.  Stage failures are re-raised tagged
     with the stage name.
     """
-    Am = A if isinstance(A, PointMatrix) else PointMatrix(A)
+    Am = as_point_matrix(A)
     if not (0.0 < w0 <= 1.0):
         raise ValueError("w0 must lie in (0, 1]")
     messages: list[str] = []
@@ -339,7 +339,7 @@ def audit_projected_oracle(
         else 0.0
     )
     tol = 1e-8 * max(delta_k, 1.0)
-    U = _unit_directions(np.random.default_rng(seed), trials, instance.k, None)
+    U = _unit_directions(np.random.default_rng(seed), trials, instance.k)
     answers = oracle.query_batch(U)
     # Both clauses of audit_answer for every trial, with one hull-distance call.
     budget = eps * delta_k

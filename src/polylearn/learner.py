@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .geometry import PointMatrix, VPolytope, _pairwise_distances, hausdorff, well_separation
-from .oracles import OptOracle
+from .oracles import OptOracle, _unit_directions
 
 __all__ = [
     "ProbeSet",
@@ -64,46 +64,15 @@ class LearnReport:
     messages: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _unit_directions(
-    rng: np.random.Generator, m: int, dim: int, subspace: np.ndarray | None
-) -> np.ndarray:
-    if subspace is not None:
-        basis = np.asarray(subspace, dtype=np.float64)
-        if basis.shape[0] != dim:
-            raise ValueError("subspace basis must live in the oracle's ambient space")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
-            raise ValueError("subspace basis must be orthonormal")
-        G = rng.standard_normal((m, basis.shape[1]))
-        U = G @ basis.T
-    else:
-        U = rng.standard_normal((m, dim))
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
-    # A zero Gaussian draw has probability zero; resample defensively.
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        U[bad] = rng.standard_normal((int(bad.sum()), U.shape[1]))
-        norms = np.linalg.norm(U, axis=1, keepdims=True)
-    return U / norms
-
-
-def random_probes(
-    oracle: OptOracle,
-    m: int,
-    subspace: np.ndarray | None = None,
-    seed: int = 0,
-) -> ProbeSet:
+def random_probes(oracle: OptOracle, m: int, seed: int = 0) -> ProbeSet:
     """Query the oracle on m i.i.d. uniform unit directions.
 
     Directions are Gaussian vectors normalized to unit length (exactly
-    uniform on the sphere); with ``subspace`` given (orthonormal d x s
-    basis), they are uniform on that subspace's unit sphere instead.
-    Answers are recorded in query order.
+    uniform on the sphere).  Answers are recorded in query order.
     """
     if m < 1:
         raise ValueError("probe count m must be positive")
-    rng = np.random.default_rng(seed)
-    U = _unit_directions(rng, m, oracle.dim, subspace)
+    U = _unit_directions(np.random.default_rng(seed), m, oracle.dim)
     answers = oracle.query_batch(U)
     return ProbeSet(PointMatrix(U.T), PointMatrix(answers), seed)
 

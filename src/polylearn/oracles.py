@@ -6,11 +6,13 @@ direction u with a point x(u) satisfying both
     x(u) in K + eps*diam(K)*B      (containment), and
     u.x(u) >= max_{y in K} u.y - eps*diam(K)   (optimality).
 
-Four concrete oracles live here: the exact vertex argmax, a bounded-noise
-wrapper around it, subset smoothing over a data matrix (answers with the
-mean of the top fraction of columns along u), and the adversarial "needle"
-oracle that always answers zero while logging every query.  ``audit_answer``
-checks a single answer against both clauses when K is known.
+Four concrete oracles live here: the exact vertex argmax, the same answer
+plus a bounded perturbation, subset smoothing over a data matrix (answers
+with the mean of the top fraction of columns along u), and the adversarial
+"needle" oracle that always answers zero while logging every query.
+``audit_answer`` checks a single answer against both clauses when K is
+known.  ``_unit_directions`` is the package's one sampler of uniformly
+random unit directions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VPolytope, as_point_matrix, diameter, dist_to_hull
+from .geometry import VPolytope, _pairwise_distances, as_point_matrix, diameter, dist_to_hull
 
 __all__ = [
     "OptOracle",
@@ -40,14 +42,38 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-9
+# find_consistent_needles: candidates per draw, the search budget (a multiple
+# of the block) and the least distance from a needle to earlier ones and
+# their negations.
+_NEEDLE_BLOCK = 64
+_NEEDLE_CANDIDATES = 10**7
+_NEEDLE_GAP = 0.1
 
 
-def _check_unit(u: np.ndarray) -> np.ndarray:
+def _check_unit(u, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     n = float(np.linalg.norm(u))
     if not (1.0 - _UNIT_NORM_TOL <= n <= 1.0 + _UNIT_NORM_TOL):
         raise ValueError(f"query direction must be a unit vector, got norm {n!r}")
+    if u.shape[0] != dim:
+        raise ValueError(f"query dim {u.shape[0]} != oracle dim {dim}")
     return u
+
+
+def _unit_directions(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
+    """m uniform unit directions in R^dim as the rows of an m x dim array.
+
+    Gaussian rows normalized to unit length, drawn from ``rng`` in row order,
+    so drawing in blocks consumes the same stream as drawing all at once.
+    """
+    U = rng.standard_normal((m, dim))
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    # A zero Gaussian draw has probability zero; resample defensively.
+    while np.any(norms == 0.0):
+        bad = norms[:, 0] == 0.0
+        U[bad] = rng.standard_normal((int(bad.sum()), dim))
+        norms = np.linalg.norm(U, axis=1, keepdims=True)
+    return U / norms
 
 
 def _direction_rows(U, dim: int) -> np.ndarray:
@@ -104,22 +130,17 @@ class ExactOracle(OptOracle):
         self._diam = K.diameter()
 
     @property
-    def polytope(self) -> VPolytope:
-        return self._K
-
-    @property
     def reference_diameter(self) -> float:
         return self._diam
 
+    def _vertex(self, u: np.ndarray) -> np.ndarray:
+        return self._K.vertices.column(int(np.argmax(u @ self._K.vertices.entries)))
+
     def query(self, u) -> np.ndarray:
-        u = _check_unit(u)
-        if u.shape[0] != self.dim:
-            raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        scores = u @ self._K.vertices.entries
-        return self._K.vertices.column(int(np.argmax(scores)))
+        return self._vertex(_check_unit(u, self.dim))
 
 
-class NoisyOracle(OptOracle):
+class NoisyOracle(ExactOracle):
     """Exact answer plus a seeded perturbation of norm <= eps*diam(K).
 
     A ball perturbation around a vertex answer keeps both oracle clauses
@@ -133,16 +154,9 @@ class NoisyOracle(OptOracle):
     def __init__(self, K: VPolytope, epsilon: float, seed: int):
         if not (0.0 <= epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-        self._exact = ExactOracle(K)
-        self._K = K
-        self.dim = K.dim
+        super().__init__(K)
         self.advertised_epsilon = float(epsilon)
         self._seed = int(seed)
-        self._diam = K.diameter()
-
-    @property
-    def reference_diameter(self) -> float:
-        return self._diam
 
     def _perturbation(self, u: np.ndarray) -> np.ndarray:
         digest = hashlib.blake2b(
@@ -160,10 +174,8 @@ class NoisyOracle(OptOracle):
         return g / norm * radius * budget * (1.0 - 1e-12)
 
     def query(self, u) -> np.ndarray:
-        u = _check_unit(u)
-        if u.shape[0] != self.dim:
-            raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        exact = self._exact.query(u)
+        u = _check_unit(u, self.dim)
+        exact = self._vertex(u)
         if self.advertised_epsilon == 0.0 or self._diam == 0.0:
             return exact
         p = self._perturbation(u)
@@ -371,21 +383,18 @@ def find_consistent_needles(
     queries: np.ndarray,
     dim: int,
     count: int = 2,
-    threshold: float | None = None,
-    min_separation: float = 0.1,
     seed: int = 0,
-    max_candidates: int = 10**7,
 ) -> np.ndarray:
-    """Find unit directions u with max_i |u . v_i| <= threshold over the query log.
+    """Find ``count`` unit directions nearly orthogonal to every logged query.
 
-    Rejection-samples random unit candidates; each accepted direction must
-    also satisfy |u - w| >= min_separation and |u + w| >= min_separation
-    against every previously accepted w.  Raises RuntimeError once
-    ``max_candidates`` candidates have been tried.  Default threshold:
-    4*ln(d)/sqrt(d).
+    Each accepted u has max_i |u . v_i| <= 4*ln(d)/sqrt(d) over the query
+    log, and |u - w| >= 0.1 and |u + w| >= 0.1 against every previously
+    accepted w.  Rejection-samples random unit candidates in blocks of 64;
+    raises RuntimeError once 10^7 candidates have been tried.
     """
-    if threshold is None:
-        threshold = 4.0 * math.log(dim) / math.sqrt(dim)
+    if count < 1:
+        raise ValueError(f"needle count must be positive, got {count}")
+    threshold = 4.0 * math.log(dim) / math.sqrt(dim)
     V = np.asarray(queries)
     if V.dtype not in (np.float32, np.float64):
         V = V.astype(np.float64)
@@ -393,27 +402,17 @@ def find_consistent_needles(
         raise ValueError(f"query log has dim {V.shape[1]}, expected {dim}")
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
-    tried = 0
-    batch = 64
-    while len(found) < count:
-        if tried >= max_candidates:
-            raise RuntimeError(
-                f"needle search exhausted {max_candidates} candidates "
-                f"({len(found)}/{count} found)"
-            )
-        G = rng.standard_normal((batch, dim))
-        G /= np.linalg.norm(G, axis=1, keepdims=True)
-        for u in G:
-            tried += 1
+    for _ in range(_NEEDLE_CANDIDATES // _NEEDLE_BLOCK):
+        for u in _unit_directions(rng, _NEEDLE_BLOCK, dim):
             if V.size and float(np.abs(V @ u.astype(V.dtype)).max()) > threshold:
                 continue
-            if any(
-                np.linalg.norm(u - w) < min_separation
-                or np.linalg.norm(u + w) < min_separation
-                for w in found
-            ):
+            # |(-u) - w| = |u + w| exactly, so one call tests both signs.
+            signed = np.column_stack([u, -u])
+            if found and _pairwise_distances(signed, np.column_stack(found)).min() < _NEEDLE_GAP:
                 continue
-            found.append(u.copy())
+            found.append(u)
             if len(found) == count:
-                break
-    return np.stack(found)
+                return np.stack(found)
+    raise RuntimeError(
+        f"needle search exhausted {_NEEDLE_CANDIDATES} candidates ({len(found)}/{count} found)"
+    )

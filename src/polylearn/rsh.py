@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import VPolytope, dist_to_hull
-from .oracles import OptOracle
+from .oracles import OptOracle, _unit_directions
 
 __all__ = [
     "RshEstimate",
@@ -39,6 +39,7 @@ __all__ = [
 
 _WILSON_Z99 = 2.5758293035489004  # 99.5 percentile of the standard normal
 _BLOCK = 100_000  # samples drawn per step of estimate_rsh_probability
+_QUERY_BLOCK = 1024  # directions per draw of separate_via_opt; any size gives the same queries
 
 
 def margin(u, a, K: VPolytope) -> float:
@@ -271,16 +272,13 @@ def separate_via_opt(
     delta_k = oracle.reference_diameter
     threshold = delta * delta_k / (11.0 * math.sqrt(d))
     rng = np.random.default_rng(seed)
-    for i in range(num_queries):
-        g = rng.standard_normal(d)
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            continue
-        u = g / norm
-        x = oracle.query(u)
-        observed = float(u @ a - u @ x)
-        if observed > threshold:
-            return SeparationResult(SeparationVerdict.SEPARATED, u, observed, i + 1)
+    for start in range(0, num_queries, _QUERY_BLOCK):
+        U = _unit_directions(rng, min(_QUERY_BLOCK, num_queries - start), d)
+        for i, u in enumerate(U, start + 1):
+            x = oracle.query(u)
+            observed = float(u @ a - u @ x)
+            if observed > threshold:
+                return SeparationResult(SeparationVerdict.SEPARATED, u.copy(), observed, i)
     return SeparationResult(SeparationVerdict.INSIDE_SOFTENED, None, None, num_queries)
 
 

@@ -7,14 +7,16 @@ measures Hausdorff distance without ever calling the library's
 implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
 the margin depends on; ``explicit_diameter`` loops over pairs.
-``full_scan_hausdorff`` and ``stepwise_envelope`` are the exception: they are
-the library's own earlier procedures, kept to pin that the restructured paths
-return the same bits.
+``full_scan_hausdorff``, ``stepwise_envelope``, ``per_query_separation`` and
+``pairwise_norm_needles`` are the exception: they are the library's own
+earlier procedures, kept to pin that the restructured paths return the same
+bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -362,3 +364,51 @@ def full_dimensional_margin_samples(V, a, m: int, trials: int, seed: int) -> np.
     U = rng.standard_normal((trials, m)) @ basis.T
     margins = U @ a - np.max(U @ V, axis=1)
     return margins / np.linalg.norm(U, axis=1)
+
+
+def per_query_separation(a, oracle, delta: float, d: int, num_queries: int, seed: int):
+    """``separate_via_opt``'s query loop with one Gaussian draw and one 1-D norm per query.
+
+    Returns (separator, margin, queries_used); separator and margin are None
+    when no query separates.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    threshold = delta * oracle.reference_diameter / (11.0 * math.sqrt(d))
+    rng = np.random.default_rng(seed)
+    for i in range(num_queries):
+        g = rng.standard_normal(d)
+        norm = float(np.linalg.norm(g))
+        if norm == 0.0:
+            continue
+        u = g / norm
+        observed = float(u @ a - u @ oracle.query(u))
+        if observed > threshold:
+            return u, observed, i + 1
+    return None, None, num_queries
+
+
+def pairwise_norm_needles(queries, dim: int, count: int, seed: int) -> np.ndarray:
+    """``find_consistent_needles`` with one ``np.linalg.norm`` per accepted-needle pair.
+
+    Candidates are Gaussian rows drawn 64 at a time and normalized along the
+    row; a candidate is kept when max_i |u . v_i| <= 4*ln(d)/sqrt(d) and
+    |u - w|, |u + w| >= 0.1 for every needle w kept before it.
+    """
+    threshold = 4.0 * math.log(dim) / math.sqrt(dim)
+    V = np.asarray(queries)
+    if V.dtype not in (np.float32, np.float64):
+        V = V.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    found: list[np.ndarray] = []
+    while len(found) < count:
+        G = rng.standard_normal((64, dim))
+        G /= np.linalg.norm(G, axis=1, keepdims=True)
+        for u in G:
+            if V.size and float(np.abs(V @ u.astype(V.dtype)).max()) > threshold:
+                continue
+            if any(np.linalg.norm(u - w) < 0.1 or np.linalg.norm(u + w) < 0.1 for w in found):
+                continue
+            found.append(u.copy())
+            if len(found) == count:
+                break
+    return np.stack(found)

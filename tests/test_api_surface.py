@@ -5,6 +5,8 @@ their sources instead of running them: a trimmed public API shows up here.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import polylearn
@@ -29,3 +31,12 @@ def test_benchmark_and_demo_names_resolve():
     used = {(f.relative_to(ROOT).as_posix(), name) for f in files for name in _package_names(f)}
     assert len({f for f, _ in used}) >= 8  # workloads.py and the seven demos
     assert sorted((f, name) for f, name in used if not hasattr(polylearn, name)) == []
+
+
+def test_package_all_is_the_union_of_submodule_alls():
+    # The CLI is the command-line layer, not part of the library's namespace.
+    modules = [m.name for m in pkgutil.iter_modules(polylearn.__path__) if m.name != "cli"]
+    union = set()
+    for name in modules:
+        union |= set(importlib.import_module(f"polylearn.{name}").__all__)
+    assert sorted(polylearn.__all__) == sorted(union)

@@ -294,7 +294,7 @@ def test_constants_override_parsing(tmp_path):
     )
     assert code == 0
     rep = load_report(rpt)
-    assert rep["constants"] == {"c": 40.0, "cprime": 100.0, "c0": 10.0}
+    assert rep["constants"] == {"c": 40.0, "c0": 10.0}
     code2 = run_cli(
         ["softhull", "--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
          "--delta", 0.1, "--constants", "bogus=1", "--out", rpt]

@@ -26,7 +26,7 @@ from polylearn import (
     svd_project,
     well_separation,
 )
-from polylearn.learner import _unit_directions
+from polylearn.oracles import _unit_directions
 
 
 def matched_errors(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -318,7 +318,7 @@ def test_audit_projected_oracle_matches_per_trial_audit(noise, fraction):
     audit = audit_projected_oracle(inst, fraction, trials=300, seed=31)
     proj = svd_project(inst.A, inst.k)
     K_hat = VPolytope(PointMatrix(proj.project_points(inst.M.vertices)))
-    U = _unit_directions(np.random.default_rng(31), 300, inst.k, None)
+    U = _unit_directions(np.random.default_rng(31), 300, inst.k)
     answers = SubsetSmoothingOracle(proj.projected, fraction).query_batch(U)
     delta_k = inst.M.diameter()
     audits = [

@@ -58,16 +58,6 @@ def test_probe_answers_near_hull_for_noisy_oracle():
         assert d <= eps * K.diameter() + 1e-7
 
 
-def test_probe_subspace_sampling():
-    K = square()
-    basis = np.array([[1.0], [0.0]])
-    probes = random_probes(exact_oracle(K), 40, subspace=basis, seed=6)
-    # directions confined to the x-axis
-    assert np.max(np.abs(probes.directions.entries[1])) <= 1e-12
-    with pytest.raises(ValueError):
-        random_probes(exact_oracle(K), 4, subspace=np.array([[1.0], [1.0]]), seed=0)
-
-
 def test_probe_oracle_failure_carries_index():
     class Flaky(OptOracle):
         dim = 2

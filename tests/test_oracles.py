@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylearn import (
+    ExactOracle,
     VPolytope,
     audit_answer,
     dist_to_hull,
@@ -17,7 +18,7 @@ from polylearn import (
     noisy_oracle,
     subset_smoothing_oracle,
 )
-from reference import stable_top_indices
+from reference import pairwise_norm_needles, stable_top_indices
 
 
 def _unit(rng, d):
@@ -47,11 +48,11 @@ def test_exact_oracle_matches_vertex_scan():
 
 
 def test_exact_oracle_rejects_non_unit():
-    oracle = exact_oracle(segment())
-    with pytest.raises(ValueError):
-        oracle.query(np.array([2.0, 0.0]))
-    with pytest.raises(ValueError):
-        oracle.query(np.array([1.0, 0.0, 0.0]))
+    for oracle in (exact_oracle(segment()), noisy_oracle(segment(), 0.1, seed=0)):
+        with pytest.raises(ValueError):
+            oracle.query(np.array([2.0, 0.0]))
+        with pytest.raises(ValueError):
+            oracle.query(np.array([1.0, 0.0, 0.0]))
 
 
 def test_exact_oracle_audits_at_zero_epsilon():
@@ -123,6 +124,14 @@ def test_noisy_oracle_deterministic_per_query():
     assert np.array_equal(fresh.query(u1), a)
     different_seed = noisy_oracle(K, 0.3, seed=12)
     assert not np.array_equal(different_seed.query(u1), a)
+
+
+def test_noisy_oracle_is_an_exact_oracle_with_one_diameter(monkeypatch):
+    calls = []
+    monkeypatch.setattr(VPolytope, "diameter", lambda self: calls.append(self) or 1.0)
+    oracle = noisy_oracle(segment(), 0.1, seed=0)
+    assert isinstance(oracle, ExactOracle)
+    assert len(calls) == 1 and oracle.reference_diameter == 1.0
 
 
 def test_noisy_oracle_epsilon_range():
@@ -354,6 +363,28 @@ def test_needle_consistency_small():
             assert audit.passed
     assert np.linalg.norm(needles[0] - needles[1]) >= 0.1
     assert np.linalg.norm(needles[0] + needles[1]) >= 0.1
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 12),
+    rows=st.integers(0, 10),
+    scale=st.floats(0.2, 1.5),
+    count=st.integers(1, 4),
+    single=st.booleans(),
+)
+def test_needles_match_pairwise_norm_search(seed, d, rows, scale, count, single):
+    # A row's product with a random unit u is about N(0, (scale*4 ln(d)/sqrt(d))^2),
+    # so the threshold rejects a good share of candidates; in d = 2 the 0.1
+    # separation rejects often too.
+    rng = np.random.default_rng(seed)
+    log = scale * 4.0 * math.log(d) / math.sqrt(d) * rng.standard_normal((rows, d))
+    if single:
+        log = log.astype(np.float32)
+    needles = find_consistent_needles(log, d, count=count, seed=seed)
+    assert needles.shape == (count, d)
+    assert np.array_equal(needles, pairwise_norm_needles(log, d, count, seed))
 
 
 def test_needle_answers_valid_for_any_direction_below_half_budget():

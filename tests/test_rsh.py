@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from polylearn import (
@@ -19,8 +22,9 @@ from polylearn import (
     rsh_lower_bound,
     separate_via_opt,
 )
+from polylearn import rsh
 from polylearn.rsh import _normalized_margins, _span_coordinates
-from reference import full_dimensional_margin_samples
+from reference import full_dimensional_margin_samples, per_query_separation
 
 
 def test_margin_vertex_never_positive():
@@ -259,6 +263,38 @@ def test_separate_warns_on_weak_oracle():
     a[1] = 0.9
     with pytest.warns(RuntimeWarning, match="exceeds"):
         separate_via_opt(a, weak, 0.5, 10, 10, seed=4)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    k=st.integers(1, 5),
+    offset=st.floats(0.0, 1.0),
+    delta=st.floats(0.1, 1.0),
+    num_queries=st.integers(1, 2500),
+    noisy=st.booleans(),
+    block=st.sampled_from([1, 3, 64, rsh._QUERY_BLOCK]),
+)
+def test_separation_matches_per_query_draws(seed, d, k, offset, delta, num_queries, noisy, block):
+    # Block draws of any size consume the per-query stream, but the norm
+    # along axis 1 and the 1-D norm can differ in the last bit, so a separator
+    # may move by an ulp; the noisy oracle then perturbs by another eps*diam
+    # at most.
+    rng = np.random.default_rng(seed)
+    K = VPolytope(rng.standard_normal((d, k)))
+    a = K.vertices.entries.mean(axis=1) + offset * rng.standard_normal(d)
+    eps = 1e-9 if noisy else 0.0
+    oracle = noisy_oracle(K, eps, seed=seed) if noisy else exact_oracle(K)
+    with mock.patch.object(rsh, "_QUERY_BLOCK", block):
+        res = separate_via_opt(a, oracle, delta, d, num_queries, seed=seed)
+    u, observed, used = per_query_separation(a, oracle, delta, d, num_queries, seed)
+    assert res.queries_used == used
+    assert (res.verdict is SeparationVerdict.SEPARATED) == (u is not None)
+    if u is not None:
+        assert np.max(np.abs(res.separator - u)) <= 1e-15
+        scale = np.abs(a).sum() + np.abs(K.vertices.entries).sum(axis=0).max()
+        assert abs(res.margin - observed) <= 2.0 * eps * oracle.reference_diameter + 1e-14 * scale
 
 
 def test_query_budget_formula():
