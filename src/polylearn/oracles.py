@@ -48,6 +48,7 @@ _UNIT_NORM_TOL = 1e-9
 _NEEDLE_BLOCK = 64
 _NEEDLE_CANDIDATES = 10**7
 _NEEDLE_GAP = 0.1
+_NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
 
 
 def _check_unit(u, dim: int) -> np.ndarray:
@@ -141,37 +142,34 @@ class ExactOracle(OptOracle):
 
 
 class NoisyOracle(ExactOracle):
-    """Exact answer plus a seeded perturbation of norm <= eps*diam(K).
+    """Exact answer plus a perturbation uniform in the ball of radius eps*diam(K).
 
-    A ball perturbation around a vertex answer keeps both oracle clauses
-    valid; a post-hoc check still shrinks the perturbation if floating point
-    ever lands an answer outside the advertised contract.  If 8 halvings do
-    not bring it back, the oracle silently returns the exact vertex, which
-    meets the contract at any epsilon.  Answers are a pure function of
-    (query bits, seed), independent of call order.
+    Box-Muller pairs and a radius turn the uniforms of one ``shake_256`` hash of
+    the query bits and the seed, which must lie in [-2^63, 2^63), into the
+    perturbation, so answers are a pure function of (query bits, seed).  It
+    keeps both oracle clauses valid; a post-hoc check still halves it if
+    floating point ever lands an answer outside the advertised contract.  If
+    8 halvings do not bring it back, the oracle silently returns the exact
+    vertex, which meets the contract at any epsilon.
     """
 
     def __init__(self, K: VPolytope, epsilon: float, seed: int):
         if not (0.0 <= epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        if not -(2**63) <= int(seed) < 2**63:
+            raise ValueError(f"noisy oracle seed {seed} is outside [-2^63, 2^63)")
         super().__init__(K)
         self.advertised_epsilon = float(epsilon)
-        self._seed = int(seed)
+        self._seed_bytes = int(seed).to_bytes(8, "little", signed=True)
 
     def _perturbation(self, u: np.ndarray) -> np.ndarray:
-        digest = hashlib.blake2b(
-            u.tobytes() + self._seed.to_bytes(8, "little", signed=True),
-            digest_size=16,
-        ).digest()
-        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-        rng = np.random.default_rng(np.random.SeedSequence(words))
-        g = rng.standard_normal(self.dim)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            return np.zeros(self.dim)
-        radius = rng.random() ** (1.0 / self.dim)
-        budget = self.advertised_epsilon * self._diam
-        return g / norm * radius * budget * (1.0 - 1e-12)
+        h = (self.dim + 1) // 2
+        words = np.frombuffer(hashlib.shake_256(u.tobytes() + self._seed_bytes).digest(16 * h + 8), "<u8")
+        x = ((words >> 12) + 0.5) * 2.0**-52  # strictly inside (0, 1), so r > 0 and g != 0
+        r = np.sqrt(-2.0 * np.log(x[:h]))
+        g = (r * np.exp(2j * np.pi * x[h : 2 * h])).view(np.float64)[: self.dim]  # Box-Muller pairs
+        scale = float(x[-1]) ** (1.0 / self.dim) * self.advertised_epsilon * self._diam * (1.0 - 1e-12)
+        return g * (scale / math.sqrt(g @ g))
 
     def query(self, u) -> np.ndarray:
         u = _check_unit(u, self.dim)
@@ -287,8 +285,9 @@ class SubsetSmoothingOracle(OptOracle):
 class NeedleOracle(OptOracle):
     """Adversarial oracle refusing information: every answer is the zero vector.
 
-    All queries are recorded as float32 rows so that consistent needle
-    directions can be constructed afterwards.
+    Queries are logged as float32 rows, for building consistent needles, in a
+    buffer that doubles when full.  ``queries`` is a read-only view of the rows
+    logged so far: it copies nothing, and later queries leave it unchanged.
     """
 
     def __init__(self, dim: int):
@@ -296,7 +295,8 @@ class NeedleOracle(OptOracle):
             raise ValueError("the needle construction needs dimension >= 4")
         self.dim = int(dim)
         self.advertised_epsilon = 8.0 * math.log(dim) / math.sqrt(dim)
-        self._log: list[np.ndarray] = []
+        self._log = np.empty((_NEEDLE_LOG_ROWS, self.dim), dtype=np.float32)
+        self._count = 0
 
     @property
     def reference_diameter(self) -> float:
@@ -304,19 +304,24 @@ class NeedleOracle(OptOracle):
 
     @property
     def queries(self) -> np.ndarray:
-        if not self._log:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        return np.stack(self._log)
+        view = self._log[: self._count]
+        view.flags.writeable = False
+        return view
 
     @property
     def query_count(self) -> int:
-        return len(self._log)
+        return self._count
 
     def query(self, u) -> np.ndarray:
+        # Via float64 even from float32, which differs only in quieting signalling NaNs.
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         if u.shape[0] != self.dim:
             raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        self._log.append(u.astype(np.float32))
+        if self._count == len(self._log):  # a new buffer: earlier views keep the old one
+            old, self._log = self._log, np.empty((2 * self._count, self.dim), dtype=np.float32)
+            self._log[: self._count] = old
+        self._log[self._count] = u
+        self._count += 1
         return np.zeros(self.dim)
 
 
@@ -390,7 +395,9 @@ def find_consistent_needles(
     Each accepted u has max_i |u . v_i| <= 4*ln(d)/sqrt(d) over the query
     log, and |u - w| >= 0.1 and |u + w| >= 0.1 against every previously
     accepted w.  Rejection-samples random unit candidates in blocks of 64;
-    raises RuntimeError once 10^7 candidates have been tried.
+    raises RuntimeError once 10^7 candidates have been tried, and ValueError if
+    a nonempty log is not m x dim or gives a candidate a non-finite score.
+    Below d of about 680, 4*ln(d)/sqrt(d) > 1: the log test rejects no unit row.
     """
     if count < 1:
         raise ValueError(f"needle count must be positive, got {count}")
@@ -398,14 +405,18 @@ def find_consistent_needles(
     V = np.asarray(queries)
     if V.dtype not in (np.float32, np.float64):
         V = V.astype(np.float64)
-    if V.size and V.shape[1] != dim:
-        raise ValueError(f"query log has dim {V.shape[1]}, expected {dim}")
+    if V.size and (V.ndim != 2 or V.shape[1] != dim):
+        raise ValueError(f"query log must be an m x {dim} array, got shape {V.shape}")
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(_NEEDLE_CANDIDATES // _NEEDLE_BLOCK):
         for u in _unit_directions(rng, _NEEDLE_BLOCK, dim):
-            if V.size and float(np.abs(V @ u.astype(V.dtype)).max()) > threshold:
-                continue
+            if V.size:
+                score = float(np.abs(V @ u.astype(V.dtype)).max())
+                if not math.isfinite(score):
+                    raise ValueError(f"query log gives a candidate the non-finite score {score}")
+                if score > threshold:
+                    continue
             # |(-u) - w| = |u + w| exactly, so one call tests both signs.
             signed = np.column_stack([u, -u])
             if found and _pairwise_distances(signed, np.column_stack(found)).min() < _NEEDLE_GAP:

@@ -7,10 +7,10 @@ measures Hausdorff distance without ever calling the library's
 implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
 the margin depends on; ``explicit_diameter`` loops over pairs.
-``full_scan_hausdorff``, ``stepwise_envelope``, ``per_query_separation`` and
-``pairwise_norm_needles`` are the exception: they are the library's own
-earlier procedures, kept to pin that the restructured paths return the same
-bits.
+``full_scan_hausdorff``, ``stepwise_envelope``, ``per_query_separation``,
+``pairwise_norm_needles`` and ``ListNeedleLog`` are the exception: they are
+the library's own earlier procedures, kept to pin that the restructured paths
+return the same bits.
 """
 
 from __future__ import annotations
@@ -412,3 +412,23 @@ def pairwise_norm_needles(queries, dim: int, count: int, seed: int) -> np.ndarra
             if len(found) == count:
                 break
     return np.stack(found)
+
+
+class ListNeedleLog:
+    """``NeedleOracle``'s query log as one float32 array per query, stacked on read."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._log: list[np.ndarray] = []
+
+    @property
+    def queries(self) -> np.ndarray:
+        if not self._log:
+            return np.zeros((0, self.dim), dtype=np.float32)
+        return np.stack(self._log)
+
+    def query(self, u) -> None:
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
+        if u.shape[0] != self.dim:
+            raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
+        self._log.append(u.astype(np.float32))

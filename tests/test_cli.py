@@ -339,6 +339,24 @@ def test_unreadable_matrix_file_exits_2(tmp_path, capsys, kind):
         assert str(bad) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("sep-reduce", ["--delta", 0.5, "--queries", 5]),
+        ("haus-learn", ["--probes", 5]),
+        ("list-learn", ["--delta", 0.9, "--probes", 5]),
+    ],
+)
+def test_noisy_oracle_seed_beyond_64_bits_exits_2(tmp_path, capsys, command, args):
+    # The noisy oracle is seeded with --seed + 1, which leaves signed 64 bits here.
+    seed = 2**63 - 1
+    code = run_cli([command, "--fixture", "example1-segment", *args, "--oracle", "noisy",
+                    "--epsilon", 1e-4, "--seed", seed, "--out", tmp_path / "r.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"seed {seed + 1} is outside [-2^63, 2^63)" in err and "Traceback" not in err
+
+
 def test_audit_oracle_invalid_manifest_exits_2(tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()

@@ -1,10 +1,13 @@
 import math
+import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polylearn.oracles as oracles
 from polylearn import (
     ExactOracle,
     VPolytope,
@@ -18,7 +21,7 @@ from polylearn import (
     noisy_oracle,
     subset_smoothing_oracle,
 )
-from reference import pairwise_norm_needles, stable_top_indices
+from reference import ListNeedleLog, pairwise_norm_needles, stable_top_indices
 
 
 def _unit(rng, d):
@@ -137,6 +140,62 @@ def test_noisy_oracle_is_an_exact_oracle_with_one_diameter(monkeypatch):
 def test_noisy_oracle_epsilon_range():
     with pytest.raises(ValueError):
         noisy_oracle(segment(), 1.5, seed=0)
+
+
+def test_noisy_oracle_seed_must_fit_64_bits():
+    u = np.array([0.6, 0.8])
+    for seed in (2**63, -(2**63) - 1, 2**70):
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside \[-2\^63, 2\^63\)"):
+            noisy_oracle(segment(), 0.1, seed=seed)
+    for seed in (2**63 - 1, -(2**63)):
+        x = noisy_oracle(segment(), 0.1, seed=seed).query(u)
+        assert audit_answer(segment(), u, x, epsilon=0.1, tol=1e-9).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_noisy_perturbation_is_uniform_in_the_ball(d):
+    from scipy import stats
+
+    rng = np.random.default_rng(40 + d)
+    K = VPolytope(rng.standard_normal((d, d + 2)))
+    eps = 0.05
+    oracle = noisy_oracle(K, eps, seed=41 + d)
+    budget = eps * oracle.reference_diameter
+    U = rng.standard_normal((4000, d))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    P = np.array([oracle._perturbation(u) for u in U])
+    norms = np.linalg.norm(P, axis=1)
+    assert norms.max() <= budget * (1.0 - 1e-12)
+    # Uniform in the ball: (|p|/budget)^d is U(0, 1), and the first coordinate
+    # of a uniform direction in R^d is 2*Beta((d-1)/2, (d-1)/2) - 1.
+    assert stats.kstest((norms / budget) ** d, "uniform").pvalue > 1e-3
+    a = (d - 1) / 2
+    first = P[:, 0] / norms
+    assert stats.kstest(first, lambda t: stats.beta.cdf((t + 1.0) / 2.0, a, a)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("byte", [0x00, 0xFF])
+def test_noisy_perturbation_extreme_hash_words_stay_inside(monkeypatch, byte):
+    # Hash words 0 and 2^64 - 1 must give uniforms strictly inside (0, 1): a
+    # uniform of 0 or 1 makes a Box-Muller radius infinite or zero (a nan
+    # direction), or the ball radius zero.
+    lengths = []
+
+    class ExtremeHash:
+        def __init__(self, data):
+            pass
+
+        def digest(self, n):
+            lengths.append(n)
+            return bytes([byte]) * n
+
+    monkeypatch.setattr(oracles, "hashlib", types.SimpleNamespace(shake_256=ExtremeHash))
+    for d in (2, 3, 10):
+        oracle = noisy_oracle(VPolytope(np.eye(d)), 0.1, seed=0)
+        p = oracle._perturbation(np.ones(d) / math.sqrt(d))
+        assert np.isfinite(p).all()
+        assert 0.0 < np.linalg.norm(p) <= 0.1 * oracle.reference_diameter
+        assert lengths[-1] == 8 * (2 * math.ceil(d / 2) + 1)
 
 
 def test_subset_smoothing_top1_and_full_mean():
@@ -345,6 +404,67 @@ def test_needle_oracle_dim_floor():
         needle_oracle(3)
 
 
+# Zeros, values that underflow or overflow float32, non-finite values and a
+# float32 rounding tie (1 + 2^-24).
+_LOG_SPECIALS = np.array(
+    [0.0, -0.0, 1e-310, -1e-45, 3.5e38, -1e300, np.inf, -np.inf, np.nan, 1.0 + 2.0**-24]
+)
+
+
+@settings(max_examples=15)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(4, 9),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["float64", "float32", "row", "bad", "read"]), st.integers(1, 1500)),
+        min_size=3,
+        max_size=12,
+    ),
+)
+def test_needle_log_matches_list_reference(seed, d, steps):
+    # Queries of every accepted form, across at least three doublings of the
+    # log, give snapshots equal bit for bit to the stacked list log, from the
+    # empty (0, d) log on; a wrong-dimension query logs nothing.
+    rng = np.random.default_rng(seed)
+    oracle, ref = needle_oracle(d), ListNeedleLog(d)
+    start = oracles._NEEDLE_LOG_ROWS
+    total = sum(n for kind, n in steps if kind in ("float64", "float32", "row"))
+    steps = steps + [("float64", max(1, 4 * start + 1 - total)), ("read", 1)]
+    snapshots = []
+    with np.errstate(all="ignore"):
+        for kind, n in [("read", 1)] + steps:
+            if kind == "read":
+                snap = oracle.queries
+                assert snap.dtype == np.float32 and snap.shape == (ref.queries.shape[0], d)
+                assert snap.tobytes() == ref.queries.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    snap[...] = 0.0
+                assert snap.size == 0 or np.shares_memory(snap, oracle.queries)  # reading copies nothing
+                snapshots.append((snap, snap.tobytes()))
+                continue
+            if kind == "bad":
+                for log in (oracle, ref):
+                    with pytest.raises(ValueError, match=f"query dim {d + 1} != oracle dim {d}"):
+                        log.query(np.ones(d + 1))
+                assert oracle.query_count == len(ref.queries)
+                continue
+            rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-40, 40, size=(n, 1))
+            special = rng.random((n, d)) < 0.02
+            rows[special] = rng.choice(_LOG_SPECIALS, int(special.sum()))
+            if kind == "float32":
+                rows = rows.astype(np.float32)
+                bits = rows.view(np.uint32)
+                bits[rng.random((n, d)) < 0.005] = 0x7F800001  # a signalling NaN
+            for u in rows:
+                u = u.reshape(1, -1) if kind == "row" else u
+                oracle.query(u)
+                ref.query(u)
+            assert oracle.query_count == len(ref.queries)
+    assert oracle.query_count > 4 * start
+    for snap, saved in snapshots:
+        assert snap.tobytes() == saved
+
+
 def test_needle_consistency_small():
     d = 64
     oracle = needle_oracle(d)
@@ -385,6 +505,20 @@ def test_needles_match_pairwise_norm_search(seed, d, rows, scale, count, single)
     needles = find_consistent_needles(log, d, count=count, seed=seed)
     assert needles.shape == (count, d)
     assert np.array_equal(needles, pairwise_norm_needles(log, d, count, seed))
+
+
+def test_needle_search_rejects_malformed_logs():
+    for log in (np.ones(5), np.ones((2, 5, 5)), np.ones((3, 4))):
+        with pytest.raises(ValueError, match=re.escape(f"m x 5 array, got shape {log.shape}")):
+            find_consistent_needles(log, 5)
+    for bad in (np.nan, np.inf):
+        for dtype in (np.float64, np.float32):
+            log = np.zeros((10, 5), dtype=dtype)
+            log[3, 2] = bad
+            with pytest.raises(ValueError, match="non-finite score"):
+                find_consistent_needles(log, 5, seed=1)
+    for empty in (np.zeros((0, 5)), np.zeros(0), np.zeros((0, 5), dtype=np.float32)):
+        assert find_consistent_needles(empty, 5, count=2, seed=3).shape == (2, 5)
 
 
 def test_needle_answers_valid_for_any_direction_below_half_budget():
