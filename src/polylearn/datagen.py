@@ -33,14 +33,22 @@ def _gram_top_eigs(B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k singular values of B, descending, and eigenvectors of its smaller Gram.
 
     The vectors are left singular vectors (of B B^T) when B has no more rows
-    than columns, else right ones (of B^T B).  Dividing B by max|B| first keeps
-    the Gram finite at any scale; squares of entries near 1e+-200 would not be.
+    than columns, else right ones (of B^T B).  With max|B| = m * 2^e, m in
+    [1/2, 1), while |e| <= 128 the Gram of B itself is formed and B is never
+    copied; outside that window the Gram of the copy B * 2^-e is, and the
+    values are scaled back by 2^e.  Powers of two scale exactly, and inside
+    the window LAPACK does not rescale the Gram either, so both give the same
+    bits there.  Raises ValueError on NaN or infinite entries.
     """
-    scale = float(np.max(np.abs(B)))
-    C = B / scale if scale > 0.0 else B
-    w, V = np.linalg.eigh(C @ C.T if C.shape[0] <= C.shape[1] else C.T @ C)
+    peak = max(float(B.max()), -float(B.min()))  # NaN if any entry is NaN
+    if not math.isfinite(peak):
+        raise ValueError("matrix contains non-finite entries")
+    e = math.frexp(peak)[1]
+    e = e if abs(e) > 128 else 0
+    B = np.ldexp(B, -e) if e else B
+    w, V = np.linalg.eigh(B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B)
     top = slice(-1, -k - 1, -1)
-    return scale * np.sqrt(np.clip(w[top], 0.0, None)), np.ascontiguousarray(V[:, top])
+    return np.ldexp(np.sqrt(np.clip(w[top], 0.0, None)), e), np.ascontiguousarray(V[:, top])
 
 
 def spectral_norm(B: np.ndarray) -> float:
@@ -171,7 +179,9 @@ def gen_lkp(
     if rest.size:
         coeffs = rng.dirichlet(np.ones(k), size=rest.size)
         P[:, rest] = V @ coeffs.T
-    A = P + noise_scale * rng.standard_normal((d, n))
+    A = rng.standard_normal((d, n))
+    A *= noise_scale
+    A += P
     sigma0 = spectral_norm(P - A) / math.sqrt(n)
     inst = LkpInstance(
         M=M,
@@ -207,7 +217,8 @@ def gen_two_gaussian_mixture(
     labels = rng.permutation(np.repeat([0, 1], n // 2))
     V = np.column_stack([v, -v])
     P = V[:, labels]
-    A = P + rng.standard_normal((d, n))
+    A = rng.standard_normal((d, n))
+    A += P
     sigma0 = spectral_norm(P - A) / math.sqrt(n)
     inst = LkpInstance(
         M=VPolytope(PointMatrix(V)),

@@ -2,9 +2,9 @@
 
 ``perfbench/test_smoke.py`` runs every workload through the benchmark's
 command line but sits outside the default suite.  This loads the benchmark's
-modules without writing anything next to them and runs the ``separation`` and
-``hull-audit`` jobs untraced, so a change to the oracles that breaks one of
-their checks (the needle log, the noisy answers) fails here.
+modules without writing anything next to them and runs every workload's jobs
+untraced, so a change that breaks one of their checks (vertex recovery after
+the SVD projection, the needle log, the noisy answers) fails here.
 """
 
 import importlib.util
@@ -30,7 +30,7 @@ def perfbench(monkeypatch):
     return load
 
 
-@pytest.mark.parametrize("name", ["separation", "hull-audit"])
+@pytest.mark.parametrize("name", ["kolp-desk", "kolp-wide", "separation", "hull-audit"])
 def test_tiny_workload_passes_its_checks(perfbench, name):
     workload, tr = perfbench("workloads").WORKLOADS[name], perfbench("run").NoTrace()
     jobs = workload.setup(1, workload.tiny, tr)

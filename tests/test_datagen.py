@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from polylearn import (
     gen_two_gaussian_mixture,
     gen_well_separated_polytope,
     spectral_norm,
+    svd_project,
     well_separation,
 )
+from polylearn.datagen import _gram_top_eigs
 
 
 def test_spectral_norm_matches_dense_svd():
@@ -58,6 +62,99 @@ def test_spectral_norm_extreme_scales_and_zero():
         )
     for shape in ((4, 7), (7, 4), (1, 1), (0, 3)):
         assert spectral_norm(np.zeros(shape)) == 0.0
+
+
+def _max_abs_at(B, e, mantissa=0.75):
+    """B rescaled so that max|B| = mantissa * 2**e exactly (binary exponent e)."""
+    B = np.ldexp(B / np.abs(B).max() * mantissa, e)
+    assert math.frexp(float(np.abs(B).max())) == (mantissa, e)
+    return B
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 60),
+    e=st.one_of(st.integers(-128, 128), st.integers(-600, 600)),
+)
+def test_gram_top_eigs_power_of_two_scaling_is_exact(seed, rows, cols, e):
+    # Inside the window |e| <= 128 the Gram of B itself goes to the
+    # eigensolver; outside it B is first scaled by 2^-e.  Either way the result
+    # is the normalized matrix's, rescaled by 2^e, to the last bit.
+    k = min(3, rows, cols)
+    B = _max_abs_at(np.random.default_rng(seed).standard_normal((rows, cols)), e)
+    s, V = _gram_top_eigs(B, k)
+    s_unit, V_unit = _gram_top_eigs(np.ldexp(B, -e), k)
+    assert np.array_equal(s, np.ldexp(s_unit, e))
+    assert np.array_equal(V, V_unit)
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 30),
+    edge=st.sampled_from([-128, 128]),
+    offset=st.integers(-3, 3),
+    mantissa=st.floats(0.5, 1.0, exclude_max=True),
+)
+def test_spectral_norm_exact_on_both_sides_of_the_window(seed, rows, cols, edge, offset, mantissa):
+    B = _max_abs_at(np.random.default_rng(seed).standard_normal((rows, cols)), edge + offset, mantissa)
+    assert spectral_norm(B) == pytest.approx(float(np.linalg.norm(B, 2)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_norm_rejects_non_finite_entries(shape, bad):
+    B = np.ones(shape)
+    B[2, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entries"):
+            spectral_norm(B)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gram_eigensolve_allocates_no_copy_of_its_input(transpose):
+    # Wide and tall: neither spectral_norm nor svd_project may allocate an
+    # array the size of B.  The PointMatrix copy is made before tracing.
+    B = np.random.default_rng(2).standard_normal((40, 20_000))
+    B = B.T if transpose else B
+    Bm = PointMatrix(B)
+    assert _traced_peak(lambda: spectral_norm(B)) < 0.25 * B.nbytes
+    assert _traced_peak(lambda: svd_project(Bm, 3)) < 0.25 * B.nbytes
+
+
+def test_generators_build_observations_with_unchanged_bits():
+    # The observations are built in place; they and sigma0 must equal the
+    # bits of the out-of-place expressions at the same seed.
+    M = gen_well_separated_polytope(8, 3, 0.4, seed=16)
+    inst = gen_lkp(M, 500, 0.1, noise_scale=0.3, seed=17)
+    rng = np.random.default_rng(17)
+    rng.dirichlet(np.ones(3), size=500 - 3 * 50)
+    P = inst.P.entries
+    A = P + 0.3 * rng.standard_normal((8, 500))
+    assert np.array_equal(inst.A.entries, A)
+    assert inst.sigma0 == spectral_norm(P - A) / math.sqrt(500)
+
+    inst = gen_two_gaussian_mixture(6, 400, seed=18)
+    rng = np.random.default_rng(18)
+    rng.standard_normal(6)
+    rng.permutation(np.repeat([0, 1], 200))
+    P = inst.P.entries
+    A = P + rng.standard_normal((6, 400))
+    assert np.array_equal(inst.A.entries, A)
+    assert inst.sigma0 == spectral_norm(P - A) / math.sqrt(400)
 
 
 def test_gen_polytope_k2_and_target():
