@@ -276,7 +276,7 @@ def _cmd_gen(args, constants, stage) -> _Outcome:
 def _cmd_rsh_estimate(args, constants, stage) -> _Outcome:
     K = VPolytope(_load_points(args, "vertices"))
     a = _query_point(args, K)
-    m = args.subspace_dim or K.dim
+    m = K.dim if args.subspace_dim is None else args.subspace_dim
     with stage("estimate"):
         est = estimate_rsh_probability(K, a, args.delta, m, args.trials, args.seed)
     value, basis = est.comparison_value()
@@ -304,7 +304,9 @@ def _cmd_sep_reduce(args, constants, stage) -> _Outcome:
     K = VPolytope(_load_points(args, "vertices"))
     a = _query_point(args, K)
     oracle = _make_oracle(args, K)
-    queries = args.queries or recommended_query_budget(K.count, args.delta)
+    queries = args.queries
+    if queries is None:
+        queries = recommended_query_budget(K.count, args.delta)
     with stage("reduce"):
         result = separate_via_opt(a, oracle, args.delta, K.dim, queries, args.seed)
     certified = args.delta * K.diameter() / (20.0 * math.sqrt(K.dim))
@@ -329,16 +331,14 @@ def _cmd_haus_learn(args, constants, stage) -> _Outcome:
     K = VPolytope(_load_points(args, "vertices"))
     oracle = _make_oracle(args, K)
     with stage("learn"):
-        _, learn = hausdorff_learn(
-            oracle, args.probes, truth=K, seed=args.seed, constants=constants
-        )
+        _, learn = hausdorff_learn(oracle, args.probes, truth=K, seed=args.seed)
     results = {
         "query_count": learn.query_count,
         "hausdorff_to_truth": learn.hausdorff_to_truth,
         "relative_hausdorff": learn.delta,
         "diameter": K.diameter(),
     }
-    return _Outcome(results, notes=learn.messages)
+    return _Outcome(results)
 
 
 def _cmd_list_learn(args, constants, stage) -> _Outcome:

@@ -8,7 +8,8 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["Constants", "DEFAULT_CONSTANTS", "parse_constants"]
 
@@ -26,26 +27,32 @@ class Constants:
     c: float = 20.0
     c0: float = 20.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"constant {f.name} = {value!r} must be finite and positive")
+
 
 DEFAULT_CONSTANTS = Constants()
 
 
 def parse_constants(text: str) -> Constants:
-    """Parse a ``c=..,c0=..`` override string (any subset)."""
+    """Parse a ``c=..,c0=..`` override string (any subset of the fields)."""
+    names = [f.name for f in fields(Constants)]
     values = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise ValueError(f"bad constants entry {part!r}, expected name=value")
-        name, raw = part.split("=", 1)
+        name, sep, raw = part.partition("=")
         name = name.strip()
-        if name not in ("c", "c0"):
-            raise ValueError(f"unknown constant {name!r} (expected c, c0)")
-        values[name] = float(raw)
-    base = DEFAULT_CONSTANTS
-    return Constants(
-        c=values.get("c", base.c),
-        c0=values.get("c0", base.c0),
-    )
+        if not sep:
+            raise ValueError(f"bad constants entry {part!r}, expected name=value")
+        if name not in names:
+            raise ValueError(f"unknown constant {name!r} (expected {', '.join(names)})")
+        try:
+            values[name] = float(raw)
+        except ValueError:
+            raise ValueError(f"bad constants entry {part!r}, value is not a number") from None
+    return replace(DEFAULT_CONSTANTS, **values)

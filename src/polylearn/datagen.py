@@ -159,6 +159,8 @@ def gen_lkp(
     """
     k = M.count
     d = M.dim
+    if n < 1:
+        raise ValueError(f"point count n must be positive, got {n}")
     if not (0.0 < w0 <= 1.0):
         raise ValueError("w0 must lie in (0, 1]")
     cluster_size = int(math.ceil(w0 * n))
@@ -209,6 +211,8 @@ def gen_two_gaussian_mixture(
     2*v_norm); latent points are the centers under a fair seeded assignment
     and observations add standard Gaussian noise.
     """
+    if n < 1:
+        raise ValueError(f"point count n must be positive, got {n}")
     if n % 2 != 0:
         raise ValueError("n must be even for a fair two-component assignment")
     rng = np.random.default_rng(seed)

@@ -22,10 +22,10 @@ __all__ = [
     "VPolytope",
     "SimplexCoeffs",
     "as_point_matrix",
+    "diameter",
     "dist_to_hull",
     "hull_membership",
     "hausdorff",
-    "diameter",
     "well_separation",
 ]
 

@@ -215,6 +215,8 @@ def prune_to_k(
     Wm = as_point_matrix(W)
     if k < 1:
         raise ValueError("k must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if Wm.count < k:
         raise PruneError(f"cannot select {k} points from {Wm.count} answers", [])
     selected, _, _ = _prune_attempts(Wm, k, delta, constants)
@@ -254,6 +256,8 @@ def kolp_run(
     Am = as_point_matrix(A)
     if not (0.0 < w0 <= 1.0):
         raise ValueError("w0 must lie in (0, 1]")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     messages: list[str] = []
     if k > 1:
         sep_floor = math.sqrt(math.log(k)) / math.sqrt(constants.c0 * k)

@@ -99,38 +99,23 @@ def hausdorff_learn(
     truth: VPolytope | None = None,
     seed: int = 0,
     tol: float = 1e-6,
-    target_delta: float | None = None,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[ProbeSet, LearnReport]:
     """Random probes plus a Hausdorff measurement against known truth.
 
-    When ``truth`` is supplied the report carries
-    hausdorff(CH(answers), truth) and, with ``target_delta``, the
-    theory-recommended probe count for that accuracy.
+    When ``truth`` is supplied the report carries hausdorff(CH(answers), truth).
     """
     probes = random_probes(oracle, m, seed=seed)
-    messages: list[str] = []
     haus = None
     delta_measured = None
-    recommended = None
     if truth is not None:
         haus = hausdorff(probes.answers, truth.vertices, tol=tol)
         diam = truth.diameter()
         delta_measured = haus / diam if diam > 0 else 0.0
-    if target_delta is not None and truth is not None:
-        recommended = recommended_probe_count(truth.count, target_delta, constants)
-        if m < recommended:
-            messages.append(
-                f"m = {m} is below the worst-case recommendation "
-                f"{recommended:.3g} for delta = {target_delta}"
-            )
     return probes, LearnReport(
         query_count=m,
         epsilon=oracle.advertised_epsilon,
         delta=delta_measured,
         hausdorff_to_truth=haus,
-        recommended_query_count=recommended,
-        messages=tuple(messages),
     )
 
 

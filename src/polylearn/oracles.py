@@ -35,7 +35,6 @@ __all__ = [
     "OracleAudit",
     "exact_oracle",
     "noisy_oracle",
-    "subset_smoothing_oracle",
     "needle_oracle",
     "audit_answer",
     "find_consistent_needles",
@@ -331,10 +330,6 @@ def exact_oracle(K: VPolytope) -> ExactOracle:
 
 def noisy_oracle(K: VPolytope, epsilon: float, seed: int) -> NoisyOracle:
     return NoisyOracle(K, epsilon, seed)
-
-
-def subset_smoothing_oracle(A, fraction: float) -> SubsetSmoothingOracle:
-    return SubsetSmoothingOracle(A, fraction)
 
 
 def needle_oracle(d: int) -> NeedleOracle:

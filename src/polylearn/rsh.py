@@ -183,8 +183,8 @@ def estimate_rsh_probability(
             f"required >= delta = {delta}"
         )
     k = K.count
+    proj_a, proj_v = _span_coordinates(K, a, m)  # checks m before the factor's sqrt(m)
     factor = margin_threshold_factor(k, delta, m)
-    proj_a, proj_v = _span_coordinates(K, a, m)
     threshold = delta * delta_k * factor
     rng = np.random.default_rng(seed)
     successes = 0
@@ -260,7 +260,7 @@ def separate_via_opt(
     if a.shape[0] != d or oracle.dim != d:
         raise ValueError("dimension mismatch between point, oracle and d")
     if num_queries < 1:
-        raise ValueError("num_queries must be positive")
+        raise ValueError(f"num_queries must be positive, got {num_queries}")
     eps_needed = delta / (100.0 * math.sqrt(d))
     if math.isfinite(oracle.advertised_epsilon) and oracle.advertised_epsilon > eps_needed:
         warnings.warn(

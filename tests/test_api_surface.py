@@ -40,3 +40,10 @@ def test_package_all_is_the_union_of_submodule_alls():
     for name in modules:
         union |= set(importlib.import_module(f"polylearn.{name}").__all__)
     assert sorted(polylearn.__all__) == sorted(union)
+
+
+def test_package_binds_no_public_name_outside_all():
+    assert len(set(polylearn.__all__)) == len(polylearn.__all__)
+    submodules = {m.name for m in pkgutil.iter_modules(polylearn.__path__)}
+    public = {name for name in vars(polylearn) if not name.startswith("_")}
+    assert sorted(public - set(polylearn.__all__) - submodules) == []

@@ -285,21 +285,55 @@ def test_softhull_sqrt_default_precondition_exits_2(tmp_path, capsys):
     assert re.search(r"delta > 16\*sqrt\(epsilon\)", capsys.readouterr().err)
 
 
-def test_constants_override_parsing(tmp_path):
+def test_constants_override_parsing(tmp_path, capsys):
     rpt = tmp_path / "r.json"
-    code = run_cli(
-        ["softhull", "--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
-         "--delta", 0.1, "--eps3", 0.02, "--constants", "c=40,c0=10",
-         "--out", rpt]
-    )
-    assert code == 0
-    rep = load_report(rpt)
-    assert rep["constants"] == {"c": 40.0, "c0": 10.0}
-    code2 = run_cli(
-        ["softhull", "--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
-         "--delta", 0.1, "--constants", "bogus=1", "--out", rpt]
-    )
-    assert code2 == 2
+
+    def run(text):
+        return run_cli(
+            ["softhull", "--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
+             "--delta", 0.1, "--eps3", 0.02, "--constants", text, "--out", rpt]
+        )
+
+    assert run("c=40,c0=10") == 0
+    assert load_report(rpt)["constants"] == {"c": 40.0, "c0": 10.0}
+    for text, message in [
+        ("bogus=1", "unknown constant 'bogus'"),
+        ("c=0", "constant c = 0.0 must be finite and positive"),
+        ("c0=0", "constant c0 = 0.0 must be finite and positive"),
+        ("c=-1", "constant c = -1.0 must be finite and positive"),
+        ("c0=nan", "constant c0 = nan must be finite and positive"),
+        ("c=abc", "bad constants entry 'c=abc', value is not a number"),
+    ]:
+        assert run(text) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, text
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen", "--kind", "lkp", "--n", 0], "n must be positive, got 0"),
+        (["gen", "--kind", "two-gaussian", "--n", 0], "n must be positive, got 0"),
+        (["rsh-estimate", "--fixture", "example1-segment", "--delta", 0.5,
+          "--subspace-dim", 0], "subspace dimension must be positive, got 0"),
+        (["rsh-estimate", "--fixture", "example1-segment", "--delta", 0.5,
+          "--subspace-dim", -3], "subspace dimension must be positive, got -3"),
+        (["sep-reduce", "--fixture", "example1-segment", "--delta", 0.5,
+          "--queries", 0], "num_queries must be positive, got 0"),
+        (["kolp", "--k", 2, "--w0", 0.2, "--delta", -0.3], "delta must be positive, got -0.3"),
+        (["kolp", "--k", 2, "--w0", 0.2, "--delta", 0.3, "--constants", "c0=0"],
+         "constant c0 = 0.0 must be finite and positive"),
+    ],
+)
+def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, args, message):
+    if args[0] == "kolp":
+        data = tmp_path / "A.mat"
+        save_matrix(data, PointMatrix(np.random.default_rng(0).standard_normal((3, 40))))
+        args = [*args, "--data", data]
+    code = run_cli([*args, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and message in err
 
 
 def test_module_entry_point(tmp_path):

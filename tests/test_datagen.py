@@ -198,6 +198,15 @@ def test_gen_lkp_infeasible_layout():
         gen_lkp(M, 10, 0.5, 0.1, seed=9)
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_generators_reject_empty_point_count(n):
+    M = gen_well_separated_polytope(4, 3, 0.4, seed=8)
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+        gen_lkp(M, n, 0.2, 0.1, seed=9)
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+        gen_two_gaussian_mixture(4, n)
+
+
 def test_gen_lkp_random_matrix_scale():
     # Gaussian noise: sigma0 lands near noise_scale*(sqrt(d)+sqrt(n))/sqrt(n)
     M = gen_well_separated_polytope(100, 3, 0.3, seed=10)

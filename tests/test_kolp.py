@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from polylearn import (
+    Constants,
     PointMatrix,
     PruneError,
     SubsetSmoothingOracle,
@@ -22,7 +23,6 @@ from polylearn import (
     prune_to_k,
     random_probes,
     spectral_norm,
-    subset_smoothing_oracle,
     svd_project,
     well_separation,
 )
@@ -142,7 +142,7 @@ def test_random_probes_batch_equals_single_queries_on_lkp():
     # Many probes share a selected set; each must still get that set's own mean.
     inst = small_instance(seed=18)
     proj = svd_project(inst.A, 3)
-    oracle = subset_smoothing_oracle(proj.projected, fraction=inst.w0)
+    oracle = SubsetSmoothingOracle(proj.projected, fraction=inst.w0)
     probes = random_probes(oracle, 400, seed=19)
     single = [oracle.query(u) for u in probes.directions.entries.T]
     assert np.array_equal(probes.answers.entries, np.column_stack(single))
@@ -269,6 +269,22 @@ def test_kolp_half_fraction_flag():
     out = kolp_run(inst.A, 3, 0.1, delta=0.3, m=800, seed=24, smoothing_fraction=0.05)
     errs = matched_errors(inst.M.vertices.entries, out.vertex_estimates.entries)
     assert errs.max() <= 0.3 * inst.M.diameter() / 5.0
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.3, math.nan])
+def test_kolp_and_prune_reject_delta_not_positive(delta):
+    W = np.random.default_rng(10).standard_normal((2, 40))
+    with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+        prune_to_k(W, 3, delta)
+    with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+        kolp_run(W, 3, 0.1, delta, m=10)
+
+
+@pytest.mark.parametrize("field", ["c", "c0"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_constants_reject_values_not_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"constant {field} = {value!r} must be finite"):
+        Constants(**{field: value})
 
 
 def test_kolp_hypothesis_message():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import polylearn.oracles as oracles
 from polylearn import (
     ExactOracle,
+    SubsetSmoothingOracle,
     VPolytope,
     audit_answer,
     dist_to_hull,
@@ -19,7 +20,6 @@ from polylearn import (
     gen_well_separated_polytope,
     needle_oracle,
     noisy_oracle,
-    subset_smoothing_oracle,
 )
 from reference import ListNeedleLog, pairwise_norm_needles, stable_top_indices
 
@@ -200,17 +200,17 @@ def test_noisy_perturbation_extreme_hash_words_stay_inside(monkeypatch, byte):
 
 def test_subset_smoothing_top1_and_full_mean():
     A = np.array([[0.0, 2.0], [0.0, 0.0]])
-    oracle = subset_smoothing_oracle(A, fraction=0.5)
+    oracle = SubsetSmoothingOracle(A, fraction=0.5)
     u = np.array([1.0, 0.0])
     assert np.allclose(oracle.query(u), [2.0, 0.0])
-    full = subset_smoothing_oracle(A, fraction=1.0)
+    full = SubsetSmoothingOracle(A, fraction=1.0)
     for direction in ([1.0, 0.0], [0.0, 1.0], [-0.7, 0.2]):
         assert np.allclose(full.query(np.array(direction)), A.mean(axis=1))
 
 
 def test_subset_smoothing_tie_break_lowest_index():
     A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
-    oracle = subset_smoothing_oracle(A, fraction=1 / 3)
+    oracle = SubsetSmoothingOracle(A, fraction=1 / 3)
     # columns 0 and 1 tie on u; stable order keeps column 0
     assert np.allclose(oracle.query(np.array([1.0, 0.0])), [1.0, 0.0])
 
@@ -218,7 +218,7 @@ def test_subset_smoothing_tie_break_lowest_index():
 def test_subset_smoothing_scale_equivariance():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 40))
-    oracle = subset_smoothing_oracle(A, fraction=0.2)
+    oracle = SubsetSmoothingOracle(A, fraction=0.2)
     for _ in range(20):
         u = rng.standard_normal(3)
         assert np.array_equal(oracle.query(u), oracle.query(3.7 * u))
@@ -227,7 +227,7 @@ def test_subset_smoothing_scale_equivariance():
 def test_subset_smoothing_answer_in_hull():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 30))
-    oracle = subset_smoothing_oracle(A, fraction=0.25)
+    oracle = SubsetSmoothingOracle(A, fraction=0.25)
     for _ in range(10):
         u = _unit(rng, 3)
         d, _ = dist_to_hull(oracle.query(u), A, tol=1e-8)
@@ -235,7 +235,7 @@ def test_subset_smoothing_answer_in_hull():
 
 
 def test_subset_smoothing_rejects_non_finite_direction():
-    oracle = subset_smoothing_oracle(np.eye(3), fraction=0.5)
+    oracle = SubsetSmoothingOracle(np.eye(3), fraction=0.5)
     for bad in ([np.inf, 0.0, 0.0], [1.0, np.nan, 0.0], [-np.inf, np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             oracle.top_indices(np.array(bad))
@@ -255,7 +255,7 @@ def test_subset_smoothing_selection_matches_stable_sort(seed, d, n, levels, frac
     # Entries from a few integer levels make many scores tie, also at the cut.
     rng = np.random.default_rng(seed)
     A = rng.integers(-levels, levels + 1, size=(d, n)).astype(np.float64)
-    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    oracle = SubsetSmoothingOracle(A, fraction=fraction)
     for _ in range(5):
         u = rng.integers(-2, 3, size=d).astype(np.float64)
         if not np.any(u):
@@ -268,7 +268,7 @@ def test_subset_smoothing_selection_matches_stable_sort(seed, d, n, levels, frac
 def test_subset_smoothing_boundary_ties_take_lowest_indices():
     scores = np.array([5.0, 1.0, 3.0, 3.0, 0.0, 3.0, 7.0, 3.0])
     for size in range(1, scores.size + 1):
-        oracle = subset_smoothing_oracle(scores[None, :], fraction=size / scores.size)
+        oracle = SubsetSmoothingOracle(scores[None, :], fraction=size / scores.size)
         assert oracle.subset_size == size
         assert np.array_equal(
             oracle.top_indices(np.array([1.0])), stable_top_indices(scores, size)
@@ -284,7 +284,7 @@ def test_subset_smoothing_answer_depends_only_on_selected_set(seed, d, k):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((d, k))
     A = np.repeat(centers, 30, axis=1) + 1e-3 * rng.standard_normal((d, 30 * k))
-    oracle = subset_smoothing_oracle(A, fraction=1.0 / k)
+    oracle = SubsetSmoothingOracle(A, fraction=1.0 / k)
     answers: dict[bytes, np.ndarray] = {}
     for _ in range(200):
         u = rng.standard_normal(d)
@@ -306,7 +306,7 @@ def test_subset_smoothing_batch_matches_single_queries(seed, d, n, levels, fract
     # at least 3 selection blocks of 2**16 // n rows.
     rng = np.random.default_rng(seed)
     A = rng.integers(-levels, levels + 1, size=(d, n)).astype(np.float64)
-    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    oracle = SubsetSmoothingOracle(A, fraction=fraction)
     U = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
     U[~U.any(axis=1), 0] = 1.0
     X = oracle.query_batch(U)
@@ -330,7 +330,7 @@ def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fra
     rng = np.random.default_rng(seed)
     A = np.repeat(rng.standard_normal((d, 40)), 80, axis=1)
     A *= 1.0 + np.ldexp(rng.integers(-4, 5, A.shape), -52)
-    oracle = subset_smoothing_oracle(A, fraction=fraction)
+    oracle = SubsetSmoothingOracle(A, fraction=fraction)
     U = rng.standard_normal((60, d))
     X = oracle.query_batch(U)
     for i, u in enumerate(U):
@@ -338,7 +338,7 @@ def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fra
 
 
 def test_subset_smoothing_batch_errors_name_the_row():
-    oracle = subset_smoothing_oracle(np.eye(3), fraction=0.5)
+    oracle = SubsetSmoothingOracle(np.eye(3), fraction=0.5)
     U = np.ones((30, 3))
     U[17, 1] = np.nan
     with pytest.raises(ValueError, match="direction 17 must be finite"):
@@ -380,7 +380,7 @@ def test_subset_smoothing_lkp_audit():
     # eps = 4*sigma0/(diam*sqrt(w0)) on 1000 random directions
     M = gen_well_separated_polytope(20, 3, 0.4, seed=6)
     inst = gen_lkp(M, 400, 0.2, noise_scale=0.05, seed=7)
-    oracle = subset_smoothing_oracle(inst.A, fraction=inst.w0)
+    oracle = SubsetSmoothingOracle(inst.A, fraction=inst.w0)
     delta_k = inst.M.diameter()
     eps = 4.0 * inst.sigma0 / (delta_k * math.sqrt(inst.w0))
     rng = np.random.default_rng(8)
