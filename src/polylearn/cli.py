@@ -8,11 +8,13 @@ writes a JSON report with a stable key schema:
     tool, version, command, config, seed, constants, results,
     hypothesis_checks, theory_bounds, timing_sec, paths
 
-``config`` holds every flag except ``--seed``, ``--out`` and ``--constants``,
-plus the values the command resolved; ``hypothesis_checks`` carries every
-warning raised during the run.  Rerunning a command with the same seed and
-config reproduces every value outside ``timing_sec`` and ``paths``.  Exit
-status is 0 only when the command completed and all hard preconditions held
+``config`` holds every flag except ``--seed``, ``--out`` and ``--constants``
+(a flag of ``list-learn`` and ``kolp`` only; the other commands report the
+default constants), plus the values the command resolved;
+``hypothesis_checks`` carries every warning raised during the run.
+Rerunning a command with the same seed and config reproduces every value
+outside ``timing_sec`` and ``paths``.  Exit status is 0 only when the
+command completed and all hard preconditions held
 (hypothesis warnings are flagged in the report instead of failing the run);
 malformed input and failed preconditions exit 2 with a message that names
 the offending file.
@@ -477,6 +479,10 @@ def _cmd_fixtures(args, constants, stage) -> _Outcome:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="report/output path")
+
+
+def _add_constants(p: argparse.ArgumentParser) -> None:
+    """``--constants``, for the commands that read them."""
     p.add_argument(
         "--constants",
         type=str,
@@ -543,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--probes", type=int, default=3000)
     _add_common(p)
+    _add_constants(p)
     p.set_defaults(fn=_cmd_list_learn)
 
     p = sub.add_parser("softhull", help="extract a soft-hull envelope")
@@ -563,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-fraction", action="store_true", help="smooth over w0*n/2 points")
     p.add_argument("--truth", type=str, default=None, help="vertex matrix for scoring")
     _add_common(p)
+    _add_constants(p)
     p.set_defaults(fn=_cmd_kolp)
 
     p = sub.add_parser("audit-oracle", help="audit the projected smoothing oracle")
@@ -582,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> None:
     """Run one subcommand and write its report."""
     timing: dict[str, float] = {}
-    constants = parse_constants(args.constants) if args.constants else DEFAULT_CONSTANTS
+    text = getattr(args, "constants", "")
+    constants = parse_constants(text) if text else DEFAULT_CONSTANTS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = args.fn(args, constants, partial(_stage, timing))

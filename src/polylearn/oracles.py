@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,16 @@ _NEEDLE_BLOCK = 64
 _NEEDLE_CANDIDATES = 10**7
 _NEEDLE_GAP = 0.1
 _NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
+# SubsetSmoothingOracle.query_batch: rows answered by full selection first,
+# rows per certificate test, the rows a recurring set must be expected to
+# answer before its hulls are built, per data dimension (3 to 5 times the
+# measured cost of one set's two hulls in full-selection rows, on LkP data
+# with n = 500 to 10^5), and the margin's allowance for qhull's tolerances
+# and the test's own rounding, in units of |u|_1*max|A|.
+_HEAD_ROWS = 64
+_CERT_BLOCK = 1024
+_CERT_ROWS = {2: 250, 3: 300, 4: 2000, 5: 9000}
+_CERT_SLACK = 1e-9
 
 
 def _check_unit(u, dim: int) -> np.ndarray:
@@ -195,6 +206,41 @@ class SubsetSmoothingOracle(OptOracle):
     column indices.  Answers depend only on the selected set, whose columns
     are averaged in index order, and the set only on the ranking of u.A_j, so
     the oracle is scale-equivariant in u and accepts any nonzero finite direction.
+
+    ``query_batch`` reuses the selected sets that recur.  Its first 64 rows
+    take the full selection: score all n columns, select.  A set S chosen
+    there by c rows, with r rows left, gets a certificate when c >= 2 and
+    r*c/64 reaches a row count set per dimension (``_CERT_ROWS``; no
+    certificate at a dimension it does not list): the hull points H_S of
+    S's columns and H_C of the others, that is qhull's vertices and
+    coplanar points, or all of a side's columns when qhull fails (flat or
+    duplicate data), the side has at most dim+1 columns, or dim = 1.  A
+    later row u takes S's answer when
+
+        min(u @ H_S) - max(u @ H_C) > (4*gamma_dim + 1e-9) * |u|_1 * max|A|,
+
+    with gamma_dim = dim*eps/(1 - dim*eps) and eps = 2^-53; every other row
+    takes the full selection.  Why this proves the full selection picks S:
+    a computed dot product of u with a column h differs from the exact one
+    by at most gamma_dim*sum_i |u_i*h_i| <= e = gamma_dim*|u|_1*max|A|, in
+    any summation order, with or without fused multiply-adds (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1), and this
+    holds for the full selection's gemv and the test's gemm alike.  The
+    exact minimum of u.x over S is attained at a point of H_S and the exact
+    maximum over the other columns at a point of H_C.  So every column of S
+    gets a computed score of at least min(u @ H_S) - 2e and every other
+    column at most max(u @ H_C) + 2e: past 4e, each column of S outscores
+    each other column strictly, no tie at the cut is left, and the size-|S|
+    selection is S.  qhull leaves out only points it finds below every
+    facet by more than its distance tolerances, which are a small multiple
+    of dim*eps*max|A| (with "Qc", a point within them of a facet is kept as
+    coplanar); such a point lies within that distance of the kept points'
+    hull and can exceed max(u @ H) by |u|_2 times it at most, far below
+    the 1e-9 term, which also covers the rounding of the test's own
+    subtraction and of |u|_1*max|A|.  Rows with |u|_1*max|A| outside
+    [2^-900, 2^1000] are never certified: below it, the absolute error of
+    products that underflow could exceed the margin, and above it, scores
+    could overflow.
     """
 
     def __init__(self, data, fraction: float):
@@ -209,6 +255,9 @@ class SubsetSmoothingOracle(OptOracle):
         self.subset_size = int(math.ceil(fraction * pm.count))
         self.advertised_epsilon = math.nan
         self._diam = None
+        self._max_abs = max(float(pm.entries.max()), -float(pm.entries.min()))
+        gamma = self.dim * 2.0**-53 / (1.0 - self.dim * 2.0**-53)
+        self._margin = 4.0 * gamma + _CERT_SLACK
 
     @property
     def reference_diameter(self) -> float:
@@ -220,14 +269,23 @@ class SubsetSmoothingOracle(OptOracle):
             self._diam = diameter(self._data)
         return self._diam
 
+    def _rows(self, U) -> np.ndarray:
+        """U as m x dim rows; the lowest row that is not finite and nonzero raises ValueError."""
+        U = _direction_rows(U, self.dim)
+        finite = np.isfinite(U).all(axis=1)
+        ok = finite & U.any(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"query direction {i} must be {'nonzero' if finite[i] else 'finite'}")
+        return U
+
     def _selections(self, U):
-        """Yield (start, chosen) per block of U's rows: the block's b x n selection masks.
+        """Yield (start, chosen) per block of the checked rows U: the block's b x n selection masks.
 
         Row r of a block selects every column scoring above the
         subset_size-th largest score, then the lowest-index columns tying
         with it: the stable sorted prefix, found by O(n) selection.
         """
-        U = _direction_rows(U, self.dim)
         A = self._data.entries
         n = A.shape[1]
         size = self.subset_size
@@ -236,9 +294,6 @@ class SubsetSmoothingOracle(OptOracle):
         S = np.empty((min(block, U.shape[0]), n))
         for start in range(0, U.shape[0], block):
             rows = U[start : start + block]
-            for what, ok in (("finite", np.isfinite(rows).all(axis=1)), ("nonzero", rows.any(axis=1))):
-                if not ok.all():
-                    raise ValueError(f"query direction {start + int(np.argmin(ok))} must be {what}")
             scores = S[: rows.shape[0]]
             # One matrix-vector product per row, never one matrix product for
             # the block: gemm scores differ from gemv ones in the last bits,
@@ -255,29 +310,89 @@ class SubsetSmoothingOracle(OptOracle):
 
     def top_indices(self, u) -> np.ndarray:
         """Indices of the subset_size columns scoring highest along u, ascending."""
-        ((_, chosen),) = self._selections(np.reshape(u, (1, -1)))
+        ((_, chosen),) = self._selections(self._rows(np.reshape(u, (1, -1))))
         return np.flatnonzero(chosen[0])
 
     def query(self, u) -> np.ndarray:
         return self.query_batch(np.reshape(u, (1, -1)))[:, 0]
 
-    def query_batch(self, U) -> np.ndarray:
-        """Answer each row of U with the mean of its selected columns, in index order.
+    def _exact(self, U, out, means: dict) -> Counter:
+        """Answer each checked row of U by full selection into the same column of ``out``.
 
-        Each distinct selected set is averaged once per call, so answers do
-        not depend on the batch size or the row order.  An invalid row raises
-        ValueError naming it.
+        ``means`` gains the answer of each set not in it yet.  Returns how
+        many rows selected each set, keyed like ``means``.
         """
-        U = _direction_rows(U, self.dim)
         A = self._data.entries
-        answers = np.empty((self.dim, U.shape[0]))
-        means: dict[bytes, np.ndarray] = {}
+        counts = Counter()
         for start, chosen in self._selections(U):
             for r, key in enumerate(np.packbits(chosen, axis=1)):
                 key = key.tobytes()
                 if key not in means:
                     means[key] = A[:, np.flatnonzero(chosen[r])].mean(axis=1)
-                answers[:, start + r] = means[key]
+                counts[key] += 1
+                out[:, start + r] = means[key]
+        return counts
+
+    def _hull_points(self, mask) -> np.ndarray:
+        """The columns of the data picked by ``mask`` that span their hull, as a dim x h array."""
+        P = self._data.entries[:, mask]
+        if self.dim == 1 or P.shape[1] <= self.dim + 1:
+            return P
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            hull = ConvexHull(P.T, qhull_options="Qc")
+        except QhullError:  # flat columns, such as all equal or on a line
+            return P
+        return P[:, np.union1d(hull.vertices, hull.coplanar[:, 0])]
+
+    def _certificates(self, counts: Counter, left: int) -> list[tuple[bytes, np.ndarray, np.ndarray]]:
+        """(key, H_S, H_C) for each set worth its hulls, given the head rows' ``counts`` and ``left`` rows."""
+        need = _CERT_ROWS.get(self.dim)
+        if need is None:
+            return []
+        n, head = self._data.count, counts.total()
+        certs = []
+        for key, count in counts.items():
+            if count >= 2 and left * count >= need * head:
+                mask = np.unpackbits(np.frombuffer(key, np.uint8), count=n).astype(bool)
+                certs.append((key, self._hull_points(mask), self._hull_points(~mask)))
+        return certs
+
+    def _certified(self, rows, certs) -> np.ndarray:
+        """Per row, the index of the certificate proving its selection, or -1."""
+        which = np.full(rows.shape[0], -1)
+        scale = np.abs(rows).sum(axis=1) * self._max_abs
+        margin = np.where((2.0**-900 <= scale) & (scale <= 2.0**1000), self._margin * scale, np.inf)
+        for i, (_, HS, HC) in enumerate(certs):
+            gap = (rows @ HS).min(axis=1) - (rows @ HC).max(axis=1, initial=-np.inf)
+            which[gap > margin] = i
+        return which
+
+    def query_batch(self, U) -> np.ndarray:
+        """Answer each row of U with the mean of its selected columns, in index order.
+
+        Each distinct selected set is averaged once per call, and a row
+        answered through a certificate (see the class docstring) gets the
+        same bits as its full selection, so answers do not depend on the
+        batch size or the row order.  An invalid row raises ValueError
+        naming the lowest one, before any row is answered.
+        """
+        U = self._rows(U)
+        m = U.shape[0]
+        answers = np.empty((self.dim, m))
+        means: dict[bytes, np.ndarray] = {}
+        head = min(m, _HEAD_ROWS)
+        certs = self._certificates(self._exact(U[:head], answers, means), m - head)
+        for start in range(head, m, _CERT_BLOCK):
+            rows = U[start : start + _CERT_BLOCK]
+            which = self._certified(rows, certs)
+            for i, (key, _, _) in enumerate(certs):
+                answers[:, start + np.flatnonzero(which == i)] = means[key][:, None]
+            rest = np.flatnonzero(which < 0)
+            exact = np.empty((self.dim, rest.size))
+            self._exact(rows[rest], exact, means)
+            answers[:, start + rest] = exact
         return answers
 
 

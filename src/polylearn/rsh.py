@@ -255,12 +255,15 @@ def separate_via_opt(
     the point is declared inside the softened polytope.  A valid oracle needs
     advertised error <= delta/(100*sqrt(d)) for the declared separator to be
     genuine (a warning is emitted when the advertised error is larger).
+    delta outside (0, 1] raises ValueError before any query.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.shape[0] != d or oracle.dim != d:
         raise ValueError("dimension mismatch between point, oracle and d")
     if num_queries < 1:
         raise ValueError(f"num_queries must be positive, got {num_queries}")
+    if not (0.0 < delta <= 1.0):
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     eps_needed = delta / (100.0 * math.sqrt(d))
     if math.isfinite(oracle.advertised_epsilon) and oracle.advertised_epsilon > eps_needed:
         warnings.warn(

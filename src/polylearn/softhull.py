@@ -15,6 +15,7 @@ in which case the output Q matches the envelope point-for-point within
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,12 +49,18 @@ class EnvelopeParams:
 
     The guarantees assume all three lie in (0, 1/8) and satisfy (*) above;
     ``validate`` reports violations as warnings so exploratory runs outside
-    the guaranteed regime still proceed.
+    the guaranteed regime still proceed.  A non-finite value raises
+    ValueError.
     """
 
     epsilon: float
     delta: float
     epsilon3: float
+
+    def __post_init__(self):
+        for name in ("epsilon", "delta", "epsilon3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def condition_violations(self) -> list[str]:
         msgs = []

@@ -6,7 +6,10 @@ their sources instead of running them: a trimmed public API shows up here.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import polylearn
@@ -47,3 +50,11 @@ def test_package_binds_no_public_name_outside_all():
     submodules = {m.name for m in pkgutil.iter_modules(polylearn.__path__)}
     public = {name for name in vars(polylearn) if not name.startswith("_")}
     assert sorted(public - set(polylearn.__all__) - submodules) == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the functions that use it.
+    code = "import sys, polylearn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(polylearn.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

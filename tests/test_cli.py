@@ -290,8 +290,8 @@ def test_constants_override_parsing(tmp_path, capsys):
 
     def run(text):
         return run_cli(
-            ["softhull", "--fixture", "square-plus-midpoint", "--epsilon", 0.0005,
-             "--delta", 0.1, "--eps3", 0.02, "--constants", text, "--out", rpt]
+            ["list-learn", "--fixture", "example1-segment", "--delta", 0.9, "--probes", 50,
+             "--constants", text, "--out", rpt]
         )
 
     assert run("c=40,c0=10") == 0
@@ -334,6 +334,50 @@ def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and message in err
+
+
+# Required flags of the seven commands without --constants.
+_NO_CONSTANTS = {
+    "gen": ["--kind", "polytope"],
+    "rsh-estimate": ["--fixture", "example1-segment", "--delta", 0.5],
+    "sep-reduce": ["--fixture", "example1-segment", "--delta", 0.5],
+    "haus-learn": ["--fixture", "example1-segment"],
+    "softhull": ["--fixture", "two-cluster", "--epsilon", 0.02, "--delta", 0.5],
+    "audit-oracle": ["--dir", "data"],
+    "fixtures": [],
+}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["softhull", "--fixture", "two-cluster", "--epsilon", 0.02, "--delta", "nan",
+          "--eps3", 0.08], "delta must be finite, got nan"),
+        (["softhull", "--fixture", "two-cluster", "--epsilon", "nan", "--delta", 0.5,
+          "--eps3", 0.08], "epsilon must be finite, got nan"),
+        (["softhull", "--fixture", "two-cluster", "--epsilon", 0.02, "--delta", 0.5,
+          "--eps3", "inf"], "epsilon3 must be finite, got inf"),
+        *[
+            (["sep-reduce", "--fixture", "example1-segment", "--queries", 10, "--delta", delta],
+             f"delta must lie in (0, 1], got {delta}")
+            for delta in ("nan", "0.0", "-1.0")
+        ],
+        *[
+            ([command, *args, "--constants", "c=40"], "unrecognized arguments: --constants c=40")
+            for command, args in _NO_CONSTANTS.items()
+        ],
+    ],
+)
+def test_rejected_inputs_exit_2(tmp_path, capsys, args, message):
+    try:
+        code = run_cli([*args, "--out", tmp_path / "out"])
+    except SystemExit as exc:  # argparse rejects the flag: usage, then one error line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err.splitlines()[-1]
+    if not message.startswith("unrecognized"):
+        assert err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -17,9 +17,12 @@ from polylearn import (
     exact_oracle,
     find_consistent_needles,
     gen_lkp,
+    gen_two_gaussian_mixture,
     gen_well_separated_polytope,
     needle_oracle,
     noisy_oracle,
+    random_probes,
+    svd_project,
 )
 from reference import ListNeedleLog, pairwise_norm_needles, stable_top_indices
 
@@ -335,6 +338,168 @@ def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fra
     X = oracle.query_batch(U)
     for i, u in enumerate(U):
         assert np.array_equal(X[:, i], oracle.query(u))
+
+
+def _counting(oracle):
+    """Count the rows the oracle's certificates answer and the hulls it builds."""
+    counts = {"certified": 0, "hulls": 0}
+    certified, hull_points = oracle._certified, oracle._hull_points
+
+    def count_certified(rows, certs):
+        which = certified(rows, certs)
+        counts["certified"] += int(np.count_nonzero(which >= 0))
+        return which
+
+    def count_hulls(mask):
+        counts["hulls"] += 1
+        return hull_points(mask)
+
+    oracle._certified, oracle._hull_points = count_certified, count_hulls
+    return counts
+
+
+def _assert_full_selection(oracle, A, U, X):
+    for i, u in enumerate(U):
+        picked = stable_top_indices(u @ A, oracle.subset_size)
+        assert np.array_equal(oracle.top_indices(u), picked)
+        assert np.array_equal(X[:, i], A[:, picked].mean(axis=1))
+        assert np.array_equal(X[:, i], oracle.query(u))
+
+
+def _certificate_data(rng, shape, d):
+    if shape == "clusters":
+        centers = rng.standard_normal((d, int(rng.integers(2, 5))))
+        return np.repeat(centers, 25, axis=1) + 1e-3 * rng.standard_normal((d, 25 * centers.shape[1]))
+    if shape == "integers":  # many scores tie, also at the cut
+        return rng.integers(-2, 3, size=(d, 60)).astype(np.float64)
+    if shape == "line":  # flat for d >= 2: qhull raises
+        return rng.standard_normal((d, 1)) + np.outer(rng.standard_normal(d), rng.standard_normal(50))
+    return np.repeat(rng.standard_normal((d, 8)), 5, axis=1)  # duplicate columns
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    shape=st.sampled_from(["clusters", "integers", "line", "duplicates"]),
+    fraction=st.sampled_from([0.1, 0.2, 1 / 3, 0.5, 1.0]) | st.floats(0.01, 1.0),
+    m=st.integers(3, 120),
+)
+def test_certified_answers_match_full_selection(seed, d, shape, fraction, m):
+    # Certificates for every recurring set after 8 head rows, tested in blocks
+    # of 16 rows: every answer, at every batch size and row order, must be
+    # the full selection's, bit for bit.
+    rng = np.random.default_rng(seed)
+    A = _certificate_data(rng, shape, d)
+    U = rng.standard_normal((m, d))
+    if shape == "integers":
+        U = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        U[~U.any(axis=1), 0] = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CERT_ROWS", dict.fromkeys(range(1, 6), 0))
+        mp.setattr(oracles, "_HEAD_ROWS", 8)
+        mp.setattr(oracles, "_CERT_BLOCK", 16)
+        oracle = SubsetSmoothingOracle(A, fraction=fraction)
+        X = oracle.query_batch(U)
+        _assert_full_selection(oracle, A, U, X)
+        for b in (3, m // 2, m - 1):
+            assert np.array_equal(oracle.query_batch(U[:b]), X[:, :b])
+        perm = rng.permutation(m)
+        assert np.array_equal(oracle.query_batch(U[perm]), X[:, perm])
+
+
+@pytest.mark.parametrize("case", ["line", "duplicates", "dim-1", "fraction-1", "small-set"])
+def test_certificate_fallbacks_match_full_selection(case):
+    # Each case certifies rows through a hull fallback (all of a side's
+    # columns) or an empty complement, and answers as the full selection.
+    rng = np.random.default_rng(31)
+    d, fraction = 3, 0.25
+    A = np.repeat(rng.standard_normal((3, 4)), 25, axis=1) + 1e-3 * rng.standard_normal((3, 100))
+    if case == "line":
+        A = _certificate_data(rng, "line", 3)
+    elif case == "duplicates":
+        A, fraction = np.repeat(rng.standard_normal((3, 6)), 4, axis=1), 4 / 24
+    elif case == "dim-1":
+        d, A = 1, rng.standard_normal((1, 50))
+    elif case == "fraction-1":
+        fraction = 1.0
+    elif case == "small-set":
+        fraction = 0.04  # 4 columns: at most dim + 1
+    U = rng.standard_normal((300, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CERT_ROWS", dict.fromkeys(range(1, 6), 0))
+        oracle = SubsetSmoothingOracle(A, fraction=fraction)
+        counts = _counting(oracle)
+        X = oracle.query_batch(U)
+    assert counts["hulls"] > 0 and counts["certified"] > 0
+    _assert_full_selection(oracle, A, U, X)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), fraction=st.sampled_from([0.25, 0.3, 0.5, 0.55]))
+def test_certified_answers_match_single_queries_on_near_ties(seed, fraction):
+    # The near-tie construction in R^3, where 2000 rows make the cost rule
+    # fire: 4 clusters of 80 columns equal up to a few ulps.  Whole clusters
+    # are certified; a cut inside a cluster follows the last bits of the
+    # scores and must fall to the full selection.
+    rng = np.random.default_rng(seed)
+    A = np.repeat(rng.standard_normal((3, 4)), 80, axis=1)
+    A *= 1.0 + np.ldexp(rng.integers(-4, 5, A.shape), -52)
+    oracle = SubsetSmoothingOracle(A, fraction=fraction)
+    counts = _counting(oracle)
+    U = rng.standard_normal((2000, 3))
+    X = oracle.query_batch(U)
+    for i, u in enumerate(U):
+        assert np.array_equal(X[:, i], oracle.query(u))
+    if fraction in (0.25, 0.5):
+        assert counts["hulls"] > 0 and counts["certified"] > 0
+
+
+def test_certificate_margin_covers_rounding_and_range():
+    # One hull point per side, max|A| = 1: a row is certified only when its
+    # gap exceeds (4*gamma_3 + 1e-9)*|u|_1, and never where |u|_1*max|A|
+    # leaves [2^-900, 2^1000], where scores could underflow or overflow.
+    oracle = SubsetSmoothingOracle(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), fraction=0.5)
+
+    def certified(u0, c0):
+        cert = (b"", np.array([[1.0], [0.0], [0.0]]), np.array([[c0], [0.0], [0.0]]))
+        return oracle._certified(np.array([[u0, 0.0, 0.0]]), [cert])[0] == 0
+
+    assert not certified(1.0, 1.0 - 5e-10)
+    assert certified(1.0, 1.0 - 2e-9)
+    assert certified(1e-250, 0.0) and not certified(1e-280, 0.0)
+    assert certified(1e300, 0.0) and not certified(1e302, 0.0)
+
+
+def _kolp_probes(A, k, fraction, m, seed):
+    oracle = SubsetSmoothingOracle(svd_project(A, k).projected, fraction)
+    counts = _counting(oracle)
+    return random_probes(oracle, m, seed=seed).answers.entries, counts
+
+
+def test_certificates_answer_desk_rows_and_skip_wide_and_mixture_data():
+    # kolp-desk's shape (k=3, n=5000, m=10^4) certifies at least 90% of its
+    # rows with the answers of the full selection.  A kolp-wide shape (k=5,
+    # m=1000) builds no hull, and neither does an overlapping two-Gaussian
+    # mixture at m=10^4, whose head rows each select a new set.
+    inst = gen_lkp(gen_well_separated_polytope(50, 3, 0.65, seed=41), 5000, 0.1, 4e-5, seed=42,
+                   validate=False)
+    X, counts = _kolp_probes(inst.A, 3, 0.1, 10_000, seed=43)
+    assert counts["certified"] >= 9000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CERT_ROWS", {})
+        exact, none = _kolp_probes(inst.A, 3, 0.1, 10_000, seed=43)
+    assert none == {"certified": 0, "hulls": 0}
+    assert np.array_equal(X, exact)
+
+    wide = gen_lkp(gen_well_separated_polytope(30, 5, 0.65, seed=44), 5000, 0.1, 3e-5, seed=45,
+                   validate=False)
+    assert _kolp_probes(wide.A, 5, 0.1, 1000, seed=46)[1]["hulls"] == 0
+    mix = gen_two_gaussian_mixture(20, 10_000, v_norm=1.0, seed=47, validate=False)
+    oracle = SubsetSmoothingOracle(svd_project(mix.A, 2).projected, mix.w0)
+    U = oracles._unit_directions(np.random.default_rng(48), oracles._HEAD_ROWS, 2)
+    assert len({oracle.top_indices(u).tobytes() for u in U}) == len(U)
+    assert _kolp_probes(mix.A, 2, mix.w0, 10_000, seed=48)[1]["hulls"] == 0
 
 
 def test_subset_smoothing_batch_errors_name_the_row():

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -254,6 +255,14 @@ def test_separate_far_point_and_verify_margin():
     assert true_margin > 0
     assert true_margin >= 0.5 * 1.0 / (20.0 * math.sqrt(10))
     assert np.linalg.norm(res.separator) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0, 1.5, float("inf")])
+def test_separate_rejects_delta_outside_unit_interval_before_querying(delta):
+    oracle = exact_oracle(example1_segment(10))
+    with mock.patch.object(oracle, "query", side_effect=AssertionError("queried")):
+        with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1], got {delta}")):
+            separate_via_opt(np.zeros(10), oracle, delta, 10, 10, seed=1)
 
 
 def test_separate_warns_on_weak_oracle():

@@ -228,6 +228,17 @@ def test_params_validation_messages():
     assert any("must exceed" in m for m in crossed.condition_violations())
 
 
+@pytest.mark.parametrize("field", ["epsilon", "delta", "epsilon3"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite_values(field, value):
+    values = {"epsilon": 0.0005, "delta": 0.1, "epsilon3": 0.02, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        EnvelopeParams(**values)
+    # Finite values outside (0, 1/8) are still only reported.
+    values[field] = 0.5
+    assert EnvelopeParams(**values).condition_violations()
+
+
 def test_find_soft_envelope_certifies_with_one_cover(monkeypatch):
     # each point is decided by one solve against its far set, not through
     # hull_membership, and the envelope check's coverage weights are the
