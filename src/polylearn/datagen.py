@@ -130,6 +130,8 @@ def gen_well_separated_polytope(
     """
     if k < 2:
         raise ValueError("need at least two vertices for a separated polytope")
+    if not math.isfinite(delta_target):
+        raise ValueError(f"delta_target must be finite, got {delta_target}")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         V = rng.standard_normal((d, k))

@@ -137,6 +137,8 @@ def list_learn(
     about and recorded, never fatal.
     """
     k, delta = k_params
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if truth is not None:
         if truth.count != k:
             raise ValueError(f"truth has {truth.count} vertices, expected k = {k}")

@@ -43,11 +43,14 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-9
 # find_consistent_needles: candidates per draw, the search budget (a multiple
-# of the block) and the least distance from a needle to earlier ones and
-# their negations.
+# of the block), the least distance from a needle to earlier ones and their
+# negations, and the log scans made before the log's norm bound, which costs
+# about two scans (one BLAS dot per row against one threaded matrix-vector
+# product), is computed.
 _NEEDLE_BLOCK = 64
 _NEEDLE_CANDIDATES = 10**7
 _NEEDLE_GAP = 0.1
+_NEEDLE_SCANS_BEFORE_BOUND = 2
 _NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
 # SubsetSmoothingOracle.query_batch: rows answered by full selection first,
 # rows per certificate test, the rows a recurring set must be expected to
@@ -61,14 +64,32 @@ _CERT_ROWS = {2: 250, 3: 300, 4: 2000, 5: 9000}
 _CERT_SLACK = 1e-9
 
 
+def _not_unit(n: float) -> ValueError:
+    return ValueError(f"query direction must be a unit vector, got norm {n!r}")
+
+
+def _probe_failure(i: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"oracle failed on probe {i}: {exc}")
+
+
 def _check_unit(u, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    # ravel makes u contiguous, so its dot products take the BLAS path of a batch's rows.
+    u = np.asarray(u, dtype=np.float64).ravel()
     n = float(np.linalg.norm(u))
     if not (1.0 - _UNIT_NORM_TOL <= n <= 1.0 + _UNIT_NORM_TOL):
-        raise ValueError(f"query direction must be a unit vector, got norm {n!r}")
+        raise _not_unit(n)
     if u.shape[0] != dim:
         raise ValueError(f"query dim {u.shape[0]} != oracle dim {dim}")
     return u
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i's dot product A[i] @ B[i] for each i, one BLAS dot per row.
+
+    A stacked matmul of 1 x n by n x 1 slices calls the same dot kernel as
+    ``a @ b`` (or ``np.linalg.norm``) on one contiguous row, so the bits agree.
+    """
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _unit_directions(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
@@ -124,7 +145,7 @@ class OptOracle(ABC):
             try:
                 answers[:, i] = self.query(u)
             except Exception as exc:
-                raise RuntimeError(f"oracle failed on probe {i}: {exc}") from exc
+                raise _probe_failure(i, exc) from exc
         return answers
 
 
@@ -150,6 +171,44 @@ class ExactOracle(OptOracle):
     def query(self, u) -> np.ndarray:
         return self._vertex(_check_unit(u, self.dim))
 
+    def _unit_rows(self, U) -> np.ndarray:
+        """U as contiguous m x dim rows, each checked as ``query`` checks it.
+
+        The lowest row off the unit sphere raises RuntimeError naming it, as
+        the default ``query_batch`` does, before any row is answered.
+        """
+        U = np.ascontiguousarray(_direction_rows(U, self.dim))
+        norms = np.sqrt(_row_dots(U, U))
+        ok = (1.0 - _UNIT_NORM_TOL <= norms) & (norms <= 1.0 + _UNIT_NORM_TOL)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            exc = _not_unit(float(norms[i]))
+            raise _probe_failure(i, exc) from exc
+        return U
+
+    def _answer_rows(self, U: np.ndarray) -> np.ndarray:
+        """The vertex maximizing u.v for each checked row u of U, as the rows of an m x dim array.
+
+        One matrix-vector product per row, as ``query`` scores: a single
+        ``U @ V`` product rounds differently and could move near-ties.
+        """
+        V = self._K.vertices.entries
+        return np.ascontiguousarray(V.T[np.matmul(U[:, None, :], V)[:, 0, :].argmax(axis=1)])
+
+    def query_batch(self, U) -> np.ndarray:
+        """Answer each row of the m x dim array U; returns the dim x m answers.
+
+        Row i's answer equals ``query(U[i])`` bit for bit.  Rows go in
+        blocks of about 2^16 scores or coordinates, so temporaries stay
+        small whatever m is.
+        """
+        U = self._unit_rows(U)
+        answers = np.empty_like(U)
+        block = max(1, 2**16 // max(self.dim, self._K.count))
+        for start in range(0, U.shape[0], block):
+            answers[start : start + block] = self._answer_rows(U[start : start + block])
+        return answers.T
+
 
 class NoisyOracle(ExactOracle):
     """Exact answer plus a perturbation uniform in the ball of radius eps*diam(K).
@@ -161,6 +220,13 @@ class NoisyOracle(ExactOracle):
     floating point ever lands an answer outside the advertised contract.  If
     8 halvings do not bring it back, the oracle silently returns the exact
     vertex, which meets the contract at any epsilon.
+
+    ``query_batch`` gives each row the bits ``query`` gives it: one hash per
+    row, Box-Muller and the re-check on the whole block, every dot product
+    and norm as one BLAS dot per row (``_row_dots``), and the radius
+    ``x^(1/d)`` per row with Python's ``pow``, since numpy's vectorized
+    power can differ in the last bit.  The re-check halves only the rows
+    still outside the contract.
     """
 
     def __init__(self, K: VPolytope, epsilon: float, seed: int):
@@ -181,6 +247,19 @@ class NoisyOracle(ExactOracle):
         scale = float(x[-1]) ** (1.0 / self.dim) * self.advertised_epsilon * self._diam * (1.0 - 1e-12)
         return g * (scale / math.sqrt(g @ g))
 
+    def _perturbations(self, U: np.ndarray) -> np.ndarray:
+        """``_perturbation`` of each row of U, as the rows of an m x dim array."""
+        h = (self.dim + 1) // 2
+        size = 16 * h + 8
+        digests = b"".join(hashlib.shake_256(u.tobytes() + self._seed_bytes).digest(size) for u in U)
+        words = np.frombuffer(digests, "<u8").reshape(U.shape[0], 2 * h + 1)
+        x = ((words >> 12) + 0.5) * 2.0**-52
+        r = np.sqrt(-2.0 * np.log(x[:, :h]))
+        g = (r * np.exp(2j * np.pi * x[:, h : 2 * h])).view(np.float64)[:, : self.dim]
+        radius = np.array([v ** (1.0 / self.dim) for v in x[:, -1].tolist()])
+        scale = radius * self.advertised_epsilon * self._diam * (1.0 - 1e-12)
+        return g * (scale / np.sqrt(_row_dots(g, g)))[:, None]
+
     def query(self, u) -> np.ndarray:
         u = _check_unit(u, self.dim)
         exact = self._vertex(u)
@@ -197,6 +276,27 @@ class NoisyOracle(ExactOracle):
                 return x
             p *= 0.5
         return exact
+
+    def _answer_rows(self, U: np.ndarray) -> np.ndarray:
+        """``query``'s answer to each checked row of U, as the rows of an m x dim array."""
+        exact = super()._answer_rows(U)
+        if self.advertised_epsilon == 0.0 or self._diam == 0.0:
+            return exact
+        P = self._perturbations(U)
+        budget = self.advertised_epsilon * self._diam
+        floor = _row_dots(U, exact) - budget
+        answers = exact.copy()
+        rows = np.arange(U.shape[0])
+        for _ in range(8):
+            p = P[rows]
+            x = exact[rows] + p
+            ok = (np.sqrt(_row_dots(p, p)) <= budget) & (_row_dots(U[rows], x) >= floor[rows])
+            answers[rows[ok]] = x[ok]
+            rows = rows[~ok]
+            if not rows.size:
+                break
+            P[rows] *= 0.5
+        return answers
 
 
 class SubsetSmoothingOracle(OptOracle):
@@ -426,17 +526,34 @@ class NeedleOracle(OptOracle):
     def query_count(self) -> int:
         return self._count
 
+    def _grow(self, rows: int) -> None:
+        """Move the log to a new buffer, doubled until it holds ``rows``: earlier views keep the old one."""
+        size = 2 * len(self._log)
+        while size < rows:
+            size *= 2
+        old, self._log = self._log, np.empty((size, self.dim), dtype=np.float32)
+        self._log[: self._count] = old[: self._count]
+
     def query(self, u) -> np.ndarray:
         # Via float64 even from float32, which differs only in quieting signalling NaNs.
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         if u.shape[0] != self.dim:
             raise ValueError(f"query dim {u.shape[0]} != oracle dim {self.dim}")
-        if self._count == len(self._log):  # a new buffer: earlier views keep the old one
-            old, self._log = self._log, np.empty((2 * self._count, self.dim), dtype=np.float32)
-            self._log[: self._count] = old
+        if self._count == len(self._log):
+            self._grow(self._count + 1)
         self._log[self._count] = u
         self._count += 1
         return np.zeros(self.dim)
+
+    def query_batch(self, U) -> np.ndarray:
+        """Log the rows of the m x dim array U, each as ``query`` logs it; returns dim x m zeros."""
+        U = _direction_rows(U, self.dim)  # float64 first, as in ``query``
+        end = self._count + U.shape[0]
+        if end > len(self._log):
+            self._grow(end)
+        self._log[self._count : end] = U
+        self._count = end
+        return np.zeros((self.dim, U.shape[0]))
 
 
 def exact_oracle(K: VPolytope) -> ExactOracle:
@@ -494,6 +611,22 @@ def audit_answer(
     return OracleAudit(containment_slack, optimality_slack, passed, tol)
 
 
+def _log_can_reject(V: np.ndarray, dim: int, threshold: float) -> bool:
+    """Whether some computed score |v . u| of a log row v and a unit candidate u can exceed ``threshold``.
+
+    A computed score is at most max|v| * |u| times 1 + gamma_d (the scan's
+    dot product, at the log's precision) + the rounding of u's cast to that
+    precision, of |u| and of the squared norms: less than 1 + 3*gamma_{d+4},
+    whose 4 spare units also cover products that underflow (an absolute
+    d*2^-149 at most).  A NaN or infinite norm answers True, so the scan
+    runs and raises on it.
+    """
+    roundoff = float(np.finfo(V.dtype).eps) / 2.0
+    gamma = (dim + 4) * roundoff / (1.0 - (dim + 4) * roundoff)
+    top = math.sqrt(float(_row_dots(V, V).max()))
+    return not top * (1.0 + 3.0 * gamma) <= threshold
+
+
 def find_consistent_needles(
     queries: np.ndarray,
     dim: int,
@@ -508,6 +641,8 @@ def find_consistent_needles(
     raises RuntimeError once 10^7 candidates have been tried, and ValueError if
     a nonempty log is not m x dim or gives a candidate a non-finite score.
     Below d of about 680, 4*ln(d)/sqrt(d) > 1: the log test rejects no unit row.
+    From the third candidate on, the log is scanned only if it can reject
+    one (``_log_can_reject``).
     """
     if count < 1:
         raise ValueError(f"needle count must be positive, got {count}")
@@ -517,11 +652,15 @@ def find_consistent_needles(
         V = V.astype(np.float64)
     if V.size and (V.ndim != 2 or V.shape[1] != dim):
         raise ValueError(f"query log must be an m x {dim} array, got shape {V.shape}")
+    scan, scans = V.size > 0, 0
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(_NEEDLE_CANDIDATES // _NEEDLE_BLOCK):
         for u in _unit_directions(rng, _NEEDLE_BLOCK, dim):
-            if V.size:
+            if scan and scans == _NEEDLE_SCANS_BEFORE_BOUND:
+                scan = _log_can_reject(V, dim, threshold)
+            if scan:
+                scans += 1
                 score = float(np.abs(V @ u.astype(V.dtype)).max())
                 if not math.isfinite(score):
                     raise ValueError(f"query log gives a candidate the non-finite score {score}")

@@ -323,6 +323,10 @@ def test_constants_override_parsing(tmp_path, capsys):
         (["kolp", "--k", 2, "--w0", 0.2, "--delta", -0.3], "delta must be positive, got -0.3"),
         (["kolp", "--k", 2, "--w0", 0.2, "--delta", 0.3, "--constants", "c0=0"],
          "constant c0 = 0.0 must be finite and positive"),
+        (["list-learn", "--fixture", "example1-segment", "--delta", "nan", "--probes", 100],
+         "delta must be finite and positive, got nan"),
+        (["gen", "--kind", "polytope", "--d", 5, "--k", 3, "--delta-target", "nan"],
+         "delta_target must be finite, got nan"),
     ],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, args, message):

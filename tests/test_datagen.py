@@ -170,6 +170,15 @@ def test_gen_polytope_budget_exhaustion():
         gen_well_separated_polytope(2, 6, 0.45, seed=3, max_attempts=25)
 
 
+def test_gen_polytope_rejects_non_finite_target_before_sampling(monkeypatch):
+    import polylearn.datagen as datagen
+
+    monkeypatch.setattr(datagen, "well_separation", lambda K: pytest.fail("sampled a polytope"))
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"delta_target must be finite, got {target}"):
+            gen_well_separated_polytope(5, 3, target, seed=1)
+
+
 def test_gen_lkp_noiseless():
     M = gen_well_separated_polytope(6, 3, 0.4, seed=4)
     inst = gen_lkp(M, 200, 0.2, noise_scale=0.0, seed=5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ def test_list_learn_exact_triangle():
     probes, report = list_learn(exact_oracle(K), (3, 0.3), 3000, truth=K, seed=12)
     assert report.per_vertex_error.max() <= 1e-9
     assert report.success
+
+
+def test_list_learn_rejects_delta_before_probing():
+    class NeverProbed(OptOracle):
+        dim, advertised_epsilon, reference_diameter = 2, 0.0, 1.0
+
+        def query(self, u):
+            raise AssertionError("probed")
+
+    for delta in (math.nan, math.inf, 0.0, -0.3):
+        with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
+            list_learn(NeverProbed(), (4, delta), 10, truth=square())
 
 
 def test_list_learn_noisy_triangle():

@@ -4,12 +4,14 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylearn.oracles as oracles
 from polylearn import (
     ExactOracle,
+    NoisyOracle,
+    OptOracle,
     SubsetSmoothingOracle,
     VPolytope,
     audit_answer,
@@ -523,6 +525,7 @@ def test_default_query_batch_matches_single_queries():
     for oracle in (exact_oracle(K), noisy_oracle(K, 0.05, seed=14)):
         X = oracle.query_batch(U)
         assert np.array_equal(X, np.column_stack([oracle.query(u) for u in U]))
+        assert np.array_equal(OptOracle.query_batch(oracle, U), X)  # the base class's loop
 
 
 def test_noisy_oracle_fallback_answer_meets_contract():
@@ -538,6 +541,115 @@ def test_noisy_oracle_fallback_answer_meets_contract():
         x = oracle.query(u)
         assert np.array_equal(x, exact_oracle(K).query(u))
         assert audit_answer(K, u, x, epsilon=eps, tol=1e-9).passed
+
+
+def _unit_rows(rng, m, d):
+    U = rng.standard_normal((m, d))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+def _assert_batch_equals_queries(oracle, U):
+    X = oracle.query_batch(U)
+    assert X.shape == (oracle.dim, len(U)) and X.dtype == np.float64
+    assert X.tobytes() == np.column_stack([oracle.query(u) for u in U]).tobytes()
+    return X
+
+
+def _assert_same_failure(oracle, U):
+    # The batch raises what the default row-by-row loop raises, naming the same row.
+    with pytest.raises(Exception) as loop:
+        OptOracle.query_batch(oracle, U)
+    with pytest.raises(loop.type) as batch:
+        oracle.query_batch(U)
+    assert str(batch.value) == str(loop.value)
+    assert type(batch.value.__cause__) is type(loop.value.__cause__)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    k=st.integers(1, 8),
+    eps=st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0]),
+    log_scale=st.floats(-3.0, 3.0),
+    m=st.integers(1, 40),
+    bad=st.sampled_from(["none", "norm", "nan", "width"]),
+)
+@example(seed=1, d=1, k=1, eps=0.3, log_scale=0.0, m=5, bad="none")
+@example(seed=2, d=7, k=1, eps=1.0, log_scale=3.0, m=9, bad="none")
+@example(seed=3, d=8, k=5, eps=0.0, log_scale=-3.0, m=9, bad="none")
+@example(seed=4, d=2**14 + 1, k=3, eps=0.3, log_scale=0.0, m=9, bad="norm")  # blocks of 3 rows
+def test_exact_and_noisy_batches_equal_single_queries(seed, d, k, eps, log_scale, m, bad):
+    # Bit for bit, on odd and even d, a single vertex (diameter 0), eps = 0,
+    # vertex scales 1e-3 to 1e3, prefixes and permutations of the rows, a
+    # Fortran-ordered copy and rows split into blocks; an invalid batch fails
+    # as the default loop does.
+    rng = np.random.default_rng(seed)
+    V = 10.0**log_scale * rng.standard_normal((d, k))
+    if k > 1:  # a near-twin vertex: rounding decides the argmax between the two
+        V[:, -1] = V[:, 0] * (1.0 + rng.choice([-1, 1], size=d) * 2.0**-52)
+    K = VPolytope(V)
+    U = _unit_rows(rng, m, d)
+    perm = rng.permutation(m)
+    for oracle in (ExactOracle(K), NoisyOracle(K, eps, seed=seed)):
+        X = _assert_batch_equals_queries(oracle, U)
+        assert oracle.query_batch(U[: m // 2 + 1]).tobytes() == X[:, : m // 2 + 1].tobytes()
+        assert oracle.query_batch(U[perm]).tobytes() == X[:, perm].tobytes()
+        assert oracle.query_batch(np.asfortranarray(U)).tobytes() == X.tobytes()
+        if bad == "width":
+            _assert_same_failure(oracle, U[:, :-1] if d > 1 else np.ones((m, 2)))
+        elif bad != "none":
+            V = U.copy()
+            rows = np.sort(rng.choice(m + 1, size=2, replace=False))
+            for i in rows[rows < m]:
+                V[i] = V[i] * 1.5 if bad == "norm" else np.nan
+            _assert_same_failure(oracle, V)
+
+
+def test_noisy_batch_equals_single_queries_on_extreme_hash_words(monkeypatch):
+    # Uniforms at both ends of (0, 1) from every hash word, through both paths.
+    for byte in (0x00, 0xFF):
+
+        class ExtremeHash:
+            def __init__(self, data):
+                pass
+
+            def digest(self, n, byte=byte):
+                return bytes([byte]) * n
+
+        monkeypatch.setattr(oracles, "hashlib", types.SimpleNamespace(shake_256=ExtremeHash))
+        rng = np.random.default_rng(byte)
+        for d in (1, 2, 3, 10):
+            K = VPolytope(rng.standard_normal((d, 4)))
+            _assert_batch_equals_queries(noisy_oracle(K, 0.1, seed=0), _unit_rows(rng, 30, d))
+
+
+def test_noisy_batch_halves_and_falls_back_like_single_queries(monkeypatch):
+    # Scaling each row's perturbation by 2^j, j = 0..11 from the row's bits,
+    # puts it j halvings from the budget: rows with j <= 7 answer after j of
+    # the 8 re-checks, the others fall back to the exact vertex.  The hash path
+    # alone cannot do this, since its radius stays below eps*diam*(1 - 1e-12).
+    def power(u):
+        return int(np.frombuffer(u.tobytes(), np.uint8).sum()) % 12
+
+    single, batch = NoisyOracle._perturbation, NoisyOracle._perturbations
+    monkeypatch.setattr(NoisyOracle, "_perturbation", lambda self, u: single(self, u) * 2.0 ** power(u))
+    monkeypatch.setattr(
+        NoisyOracle,
+        "_perturbations",
+        lambda self, U: batch(self, U) * 2.0 ** np.array([power(u) for u in U])[:, None],
+    )
+    rng = np.random.default_rng(17)
+    K = VPolytope(rng.standard_normal((6, 5)))
+    U = _unit_rows(rng, 300, 6)
+    oracle = noisy_oracle(K, 0.05, seed=18)
+    X = _assert_batch_equals_queries(oracle, U)
+    exact = exact_oracle(K).query_batch(U)
+    fell_back = np.all(X == exact, axis=0)
+    j = np.array([power(u) for u in U])
+    assert fell_back[j >= 8].all() and not fell_back[j <= 7].any()
+    for i in range(0, 300, 7):
+        assert audit_answer(K, U[i], X[:, i], epsilon=0.05, tol=1e-9).passed
 
 
 def test_subset_smoothing_lkp_audit():
@@ -630,6 +742,60 @@ def test_needle_log_matches_list_reference(seed, d, steps):
         assert snap.tobytes() == saved
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(4, 9),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["query", "batch", "float32", "bad", "read"]), st.integers(0, 2500)),
+        min_size=3,
+        max_size=10,
+    ),
+)
+def test_needle_batches_match_list_reference(seed, d, steps):
+    # Mixed query and query_batch calls, blocks that cross one or more
+    # doublings at once, float32 blocks with signalling NaNs and wrong-width
+    # blocks: every snapshot equals the stacked list log bit for bit, and the
+    # buffer is the least doubling of 1024 rows that holds the log.
+    rng = np.random.default_rng(seed)
+    oracle, ref = needle_oracle(d), ListNeedleLog(d)
+    start = oracles._NEEDLE_LOG_ROWS
+    total = sum(n for kind, n in steps if kind in ("query", "batch", "float32"))
+    steps = steps + [("batch", max(0, 4 * start + 1 - total)), ("read", 1)]
+    snapshots = []
+    with np.errstate(all="ignore"):
+        for kind, n in steps:
+            if kind == "read":
+                snap = oracle.queries
+                assert snap.tobytes() == ref.queries.tobytes() and snap.shape == (len(ref.queries), d)
+                snapshots.append((snap, snap.tobytes()))
+                continue
+            if kind == "bad":
+                with pytest.raises(ValueError, match=f"m x {d} array"):
+                    oracle.query_batch(np.ones((n, d + 1)))
+                assert oracle.query_count == len(ref.queries)
+                continue
+            rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-40, 40, size=(n, 1))
+            special = rng.random((n, d)) < 0.02
+            rows[special] = rng.choice(_LOG_SPECIALS, int(special.sum()))
+            if kind == "float32":
+                rows = rows.astype(np.float32)
+                rows.view(np.uint32)[rng.random((n, d)) < 0.005] = 0x7F800001  # a signalling NaN
+            if kind == "query":
+                for u in rows:
+                    assert not oracle.query(u).any()
+            else:
+                answers = oracle.query_batch(rows)
+                assert answers.shape == (d, n) and not answers.any()
+            for u in rows:
+                ref.query(u)
+            assert oracle.query_count == len(ref.queries)
+            assert len(oracle._log) == start * 2 ** max(0, math.ceil(math.log2(max(1, oracle.query_count) / start)))
+    assert oracle.query_count > 4 * start
+    for snap, saved in snapshots:
+        assert snap.tobytes() == saved
+
+
 def test_needle_consistency_small():
     d = 64
     oracle = needle_oracle(d)
@@ -670,6 +836,25 @@ def test_needles_match_pairwise_norm_search(seed, d, rows, scale, count, single)
     needles = find_consistent_needles(log, d, count=count, seed=seed)
     assert needles.shape == (count, d)
     assert np.array_equal(needles, pairwise_norm_needles(log, d, count, seed))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_needle_scan_skips_only_logs_that_cannot_reject(dtype):
+    # Unit rows, and rows just inside the threshold, can reject no candidate,
+    # so skipping the scan from the third candidate on keeps the needles of
+    # an empty log; rows scaled to 1.5 times the threshold make the scan
+    # reject candidates, so the needles move.  All equal the reference search.
+    d = 16
+    threshold = 4.0 * math.log(d) / math.sqrt(d)
+    rows = _unit_rows(np.random.default_rng(19), 300, d)
+    empty = find_consistent_needles(np.zeros((0, d)), d, count=5, seed=20)
+    for scale, moved in ((1.0, False), (threshold * (1 - 1e-5), False), (1.5 * threshold, True)):
+        log = (scale * rows).astype(dtype)
+        assert oracles._log_can_reject(log, d, threshold) == moved
+        needles = find_consistent_needles(log, d, count=5, seed=20)
+        assert np.array_equal(needles, pairwise_norm_needles(log, d, 5, 20))
+        assert np.array_equal(needles, empty) != moved
+        assert float(np.abs(log.astype(np.float64) @ needles.T).max()) <= threshold
 
 
 def test_needle_search_rejects_malformed_logs():
