@@ -165,6 +165,8 @@ def gen_lkp(
         raise ValueError(f"point count n must be positive, got {n}")
     if not (0.0 < w0 <= 1.0):
         raise ValueError("w0 must lie in (0, 1]")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
     cluster_size = int(math.ceil(w0 * n))
     if cluster_size * k > n:
         raise ValueError(
@@ -217,6 +219,8 @@ def gen_two_gaussian_mixture(
         raise ValueError(f"point count n must be positive, got {n}")
     if n % 2 != 0:
         raise ValueError("n must be even for a fair two-component assignment")
+    if not (math.isfinite(v_norm) and v_norm > 0.0):
+        raise ValueError(f"v_norm must be finite and positive, got {v_norm!r}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d)
     v *= v_norm / np.linalg.norm(v)

@@ -55,9 +55,10 @@ _NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
 # SubsetSmoothingOracle.query_batch: rows answered by full selection first,
 # rows per certificate test, the rows a recurring set must be expected to
 # answer before its hulls are built, per data dimension (3 to 5 times the
-# measured cost of one set's two hulls in full-selection rows, on LkP data
-# with n = 500 to 10^5), and the margin's allowance for qhull's tolerances
-# and the test's own rounding, in units of |u|_1*max|A|.
+# measured cost of one set's two hulls, on LkP data with n = 500 to 10^5),
+# and the margin's allowance for qhull's tolerances and the test's own
+# rounding, in units of |u|_1*max|A|.  The row counts are in full-selection
+# rows (gemv and partition), measured before rows could be score-checked.
 _HEAD_ROWS = 64
 _CERT_BLOCK = 1024
 _CERT_ROWS = {2: 250, 3: 300, 4: 2000, 5: 9000}
@@ -341,6 +342,20 @@ class SubsetSmoothingOracle(OptOracle):
     [2^-900, 2^1000] are never certified: below it, the absolute error of
     products that underflow could exceed the margin, and above it, scores
     could overflow.
+
+    A second tier serves every dimension and every n, with no cost rule:
+    the sets that at least 2 head rows chose are score-checked.  A later
+    row that no certificate answers guesses the one whose mean scores
+    highest along u, and after the row's own gemv, with t the least of its
+    computed scores over the guess S, takes S's answer when exactly |S|
+    columns score at least t; otherwise it takes the full selection on the
+    same scores.  No rounding margin is needed, since the check reads the
+    scores the selection would rank: the count says every column outside S
+    scores strictly below every column of S, so the stable size-|S|
+    selection is S, with no tie at the cut.  Only rows with
+    |u|_1*max|A| <= 2^1000 are checked, so every score is finite
+    (``np.partition`` orders NaN differently from ``>=``).  A checked row
+    still pays its O(n) gemv, a gather and a count; it skips the partition.
     """
 
     def __init__(self, data, fraction: float):
@@ -379,12 +394,16 @@ class SubsetSmoothingOracle(OptOracle):
             raise ValueError(f"query direction {i} must be {'nonzero' if finite[i] else 'finite'}")
         return U
 
-    def _selections(self, U):
-        """Yield (start, chosen) per block of the checked rows U: the block's b x n selection masks.
+    def _selections(self, U, which=None, members=None):
+        """Yield (rows, chosen) per block of the checked rows U: the selection masks of U's rows ``rows``.
 
-        Row r of a block selects every column scoring above the
+        Row r of ``chosen`` selects every column scoring above the
         subset_size-th largest score, then the lowest-index columns tying
-        with it: the stable sorted prefix, found by O(n) selection.
+        with it: the stable sorted prefix, found by O(n) selection.  With
+        ``which``, the index per row of U of its guessed set among
+        ``members`` (column index arrays; -1 for no guess), rows whose own
+        scores prove their guess (``_score_checked``) skip the selection
+        and are left out of ``rows``; the others' entries become -1.
         """
         A = self._data.entries
         n = A.shape[1]
@@ -400,13 +419,34 @@ class SubsetSmoothingOracle(OptOracle):
             # which would move near-tie selections with the batch size.
             for r, u in enumerate(rows):
                 np.matmul(u, A, out=scores[r])
+            left = range(start, start + rows.shape[0])
+            if which is not None:
+                proved = self._score_checked(scores, which[start : start + block], members)
+                if proved.any():
+                    left = start + np.flatnonzero(~proved)
+                    if not left.size:
+                        continue
+                    scores = scores[~proved]
             kth = np.partition(scores, cut, axis=1)[:, cut, None]
             chosen = scores >= kth
             for r in np.flatnonzero(chosen.sum(axis=1) > size):
                 row, k = chosen[r], kth[r, 0]
                 row[:] = scores[r] > k
                 row[np.flatnonzero(scores[r] == k)[: size - row.sum()]] = True
-            yield start, chosen
+            yield left, chosen
+
+    def _score_checked(self, scores, guesses, members) -> np.ndarray:
+        """Whether each row of ``scores`` proves its guessed set; unproved ``guesses`` entries become -1.
+
+        A guess (an index into ``members``, or -1 for none) is proved when
+        exactly subset_size columns score at least the lowest score among
+        the set's columns.
+        """
+        proved = guesses >= 0
+        for r, g in enumerate(guesses.tolist()):
+            if g >= 0 and np.count_nonzero(scores[r] >= np.take(scores[r], members[g]).min()) != self.subset_size:
+                proved[r], guesses[r] = False, -1
+        return proved
 
     def top_indices(self, u) -> np.ndarray:
         """Indices of the subset_size columns scoring highest along u, ascending."""
@@ -416,22 +456,46 @@ class SubsetSmoothingOracle(OptOracle):
     def query(self, u) -> np.ndarray:
         return self.query_batch(np.reshape(u, (1, -1)))[:, 0]
 
-    def _exact(self, U, out, means: dict) -> Counter:
-        """Answer each checked row of U by full selection into the same column of ``out``.
+    def _exact(self, U, out, means: dict, checks=None) -> Counter:
+        """Answer each checked row of U with its selected set's mean, into the same column of ``out``.
 
+        With ``checks`` (see ``_checks``), each row first guesses the set
+        whose mean scores highest along it, and a guess its scores prove
+        (``_score_checked``) needs no selection; rows with |u|_1*max|A|
+        above 2^1000 make no guess, so every score compared is finite.
         ``means`` gains the answer of each set not in it yet.  Returns how
         many rows selected each set, keyed like ``means``.
         """
         A = self._data.entries
         counts = Counter()
-        for start, chosen in self._selections(U):
+        which = members = None
+        if checks is not None:
+            keys, set_means, members = checks
+            finite = np.abs(U).sum(axis=1) * self._max_abs <= 2.0**1000
+            which = np.where(finite, (U @ set_means).argmax(axis=1), -1)
+        for rows, chosen in self._selections(U, which, members):
             for r, key in enumerate(np.packbits(chosen, axis=1)):
                 key = key.tobytes()
                 if key not in means:
                     means[key] = A[:, np.flatnonzero(chosen[r])].mean(axis=1)
                 counts[key] += 1
-                out[:, start + r] = means[key]
+                out[:, rows[r]] = means[key]
+        if checks is not None:
+            proved = which >= 0
+            out[:, proved] = set_means[:, which[proved]]
+            counts.update(dict(zip(keys, np.bincount(which[proved], minlength=len(keys)).tolist())))
         return counts
+
+    def _mask(self, key: bytes) -> np.ndarray:
+        """The selection mask that a ``means`` key packs."""
+        return np.unpackbits(np.frombuffer(key, np.uint8), count=self._data.count).astype(bool)
+
+    def _checks(self, counts: Counter, means: dict):
+        """(keys, means as a dim x c array, column indices) of the sets at least 2 head rows selected, or None."""
+        keys = [key for key, count in counts.items() if count >= 2]
+        if not keys:
+            return None
+        return keys, np.column_stack([means[key] for key in keys]), [np.flatnonzero(self._mask(key)) for key in keys]
 
     def _hull_points(self, mask) -> np.ndarray:
         """The columns of the data picked by ``mask`` that span their hull, as a dim x h array."""
@@ -451,11 +515,11 @@ class SubsetSmoothingOracle(OptOracle):
         need = _CERT_ROWS.get(self.dim)
         if need is None:
             return []
-        n, head = self._data.count, counts.total()
+        head = counts.total()
         certs = []
         for key, count in counts.items():
             if count >= 2 and left * count >= need * head:
-                mask = np.unpackbits(np.frombuffer(key, np.uint8), count=n).astype(bool)
+                mask = self._mask(key)
                 certs.append((key, self._hull_points(mask), self._hull_points(~mask)))
         return certs
 
@@ -483,7 +547,9 @@ class SubsetSmoothingOracle(OptOracle):
         answers = np.empty((self.dim, m))
         means: dict[bytes, np.ndarray] = {}
         head = min(m, _HEAD_ROWS)
-        certs = self._certificates(self._exact(U[:head], answers, means), m - head)
+        counts = self._exact(U[:head], answers, means)
+        certs = self._certificates(counts, m - head)
+        checks = self._checks(counts, means)
         for start in range(head, m, _CERT_BLOCK):
             rows = U[start : start + _CERT_BLOCK]
             which = self._certified(rows, certs)
@@ -491,7 +557,7 @@ class SubsetSmoothingOracle(OptOracle):
                 answers[:, start + np.flatnonzero(which == i)] = means[key][:, None]
             rest = np.flatnonzero(which < 0)
             exact = np.empty((self.dim, rest.size))
-            self._exact(rows[rest], exact, means)
+            self._exact(rows[rest], exact, means, checks)
             answers[:, start + rest] = exact
         return answers
 

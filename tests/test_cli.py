@@ -147,6 +147,29 @@ def test_gen_invalid_w0_exits_nonzero(tmp_path, capsys):
     assert "w0*k" in err
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value, name",
+    [("lkp", "--noise-scale", v, "noise_scale") for v in ("-1", "-1e-300", "nan", "inf", "-inf")]
+    + [("two-gaussian", "--v-norm", v, "v_norm") for v in ("0", "-0", "-1", "nan", "inf", "-inf")],
+)
+def test_gen_rejects_bad_noise_scale_and_v_norm(tmp_path, capsys, kind, flag, value, name):
+    # The check runs before any sampling and names the parameter.
+    out = tmp_path / "x"
+    code = run_cli(["gen", "--kind", kind, "--d", 8, "--k", 2, "--n", 40, "--w0", 0.1,
+                    f"{flag}={value}", "--seed", 1, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be finite and ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_accepts_zero_noise_scale(tmp_path):
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--kind", "lkp", "--d", 8, "--k", 2, "--n", 40, "--w0", 0.1,
+                    "--noise-scale", 0, "--seed", 1, "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["sigma0"] == 0.0
+
+
 def test_fixtures_command(tmp_path):
     out = tmp_path / "fx"
     assert run_cli(["fixtures", "--out", out]) == 0

@@ -342,10 +342,24 @@ def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fra
         assert np.array_equal(X[:, i], oracle.query(u))
 
 
-def _counting(oracle):
-    """Count the rows the oracle's certificates answer and the hulls it builds."""
+def _counting(oracle, checked=False):
+    """Count the rows the oracle's certificates answer and the hulls it builds.
+
+    With ``checked``, also count the rows whose own scores prove their set
+    (``score_checked``).
+    """
     counts = {"certified": 0, "hulls": 0}
     certified, hull_points = oracle._certified, oracle._hull_points
+    if checked:
+        counts["score_checked"] = 0
+        score_checked = oracle._score_checked
+
+        def count_score_checked(scores, guesses, members):
+            proved = score_checked(scores, guesses, members)
+            counts["score_checked"] += int(np.count_nonzero(proved))
+            return proved
+
+        oracle._score_checked = count_score_checked
 
     def count_certified(rows, certs):
         which = certified(rows, certs)
@@ -473,9 +487,9 @@ def test_certificate_margin_covers_rounding_and_range():
     assert certified(1e300, 0.0) and not certified(1e302, 0.0)
 
 
-def _kolp_probes(A, k, fraction, m, seed):
+def _kolp_probes(A, k, fraction, m, seed, checked=False):
     oracle = SubsetSmoothingOracle(svd_project(A, k).projected, fraction)
-    counts = _counting(oracle)
+    counts = _counting(oracle, checked)
     return random_probes(oracle, m, seed=seed).answers.entries, counts
 
 
@@ -502,6 +516,131 @@ def test_certificates_answer_desk_rows_and_skip_wide_and_mixture_data():
     U = oracles._unit_directions(np.random.default_rng(48), oracles._HEAD_ROWS, 2)
     assert len({oracle.top_indices(u).tobytes() for u in U}) == len(U)
     assert _kolp_probes(mix.A, 2, mix.w0, 10_000, seed=48)[1]["hulls"] == 0
+
+
+def _score_check_data(rng, shape, d):
+    if shape == "clusters":  # subset sizes of whole clusters recur
+        centers = rng.uniform(-2.0, 2.0, (d, int(rng.integers(2, 6))))
+        return np.repeat(centers, 20, axis=1) + 1e-3 * rng.uniform(-1.0, 1.0, (d, 20 * centers.shape[1]))
+    if shape == "integers":  # many scores tie, also at the cut
+        return rng.integers(-2, 3, size=(d, 60)).astype(np.float64)
+    return np.repeat(rng.uniform(-2.0, 2.0, (d, 12)), 3, axis=1)  # duplicate columns
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    shape=st.sampled_from(["clusters", "integers", "duplicates"]),
+    fraction=st.sampled_from([0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0]) | st.floats(0.01, 1.0),
+    m=st.integers(9, 120),
+    scale=st.sampled_from([1.0, 1e300, 1e-300]),
+    certify=st.booleans(),
+)
+def test_score_checked_answers_match_full_selection(seed, d, shape, fraction, m, scale, certify):
+    # Rows after 8 head rows guess one of the sets that recurred there and
+    # keep it only when their own scores prove it; duplicate columns that
+    # tie across the cut, guesses of a set that is not the selection and
+    # rows whose scores underflow must fall to the full selection, and rows
+    # near 2^1000 in |u|_1*max|A| skip the check.  Every answer, at every
+    # batch size and row order, must be the stable sorted prefix's mean.
+    rng = np.random.default_rng(seed)
+    A = _score_check_data(rng, shape, d)
+    U = rng.standard_normal((m, d))
+    if shape == "integers":
+        U = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        U[~U.any(axis=1), 0] = 1.0
+    U *= scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CERT_ROWS", dict.fromkeys(range(1, 6), 0) if certify else {})
+        mp.setattr(oracles, "_HEAD_ROWS", 8)
+        mp.setattr(oracles, "_CERT_BLOCK", 16)
+        oracle = SubsetSmoothingOracle(A, fraction=fraction)
+        X = oracle.query_batch(U)
+        _assert_full_selection(oracle, A, U, X)
+        for b in range(1, m):
+            assert np.array_equal(oracle.query_batch(U[:b]), X[:, :b])
+        perm = rng.permutation(m)
+        assert np.array_equal(oracle.query_batch(U[perm]), X[:, perm])
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    levels=st.integers(1, 6),
+    size=st.integers(1, 40),
+    true_guess=st.booleans(),
+)
+def test_score_check_proves_only_the_selection_without_a_tie_at_the_cut(seed, n, levels, size, true_guess):
+    # A guess is proved exactly when it is the stable selection and every
+    # column outside it scores strictly below every column in it.
+    rng = np.random.default_rng(seed)
+    size = min(size, n)
+    scores = rng.integers(-levels, levels + 1, size=(1, n)).astype(np.float64)
+    oracle = SubsetSmoothingOracle(np.zeros((1, n)), fraction=size / n)
+    assert oracle.subset_size == size
+    top = stable_top_indices(scores[0], size)
+    guess = top if true_guess else np.sort(rng.choice(n, size, replace=False))
+    outside = np.delete(scores[0], guess)
+    expected = np.array_equal(guess, top) and not (outside >= scores[0, guess].min()).any()
+    guesses = np.array([0])
+    assert oracle._score_checked(scores, guesses, [guess])[0] == expected
+    assert guesses[0] == (0 if expected else -1)
+    assert not oracle._score_checked(scores, np.array([-1]), [guess])[0]
+
+
+def test_duplicates_tying_across_the_cut_are_never_score_checked():
+    # Each column appears 3 times and the subset size is not a multiple of
+    # 3: the selection splits a group of equal scores at the cut, so no row
+    # can prove its set, and every row takes the full selection.
+    rng = np.random.default_rng(5)
+    A = np.repeat(rng.standard_normal((3, 10)), 3, axis=1)
+    U = rng.standard_normal((200, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CERT_ROWS", {})
+        oracle = SubsetSmoothingOracle(A, fraction=4 / 30)
+        head = oracle._exact(U[: oracles._HEAD_ROWS], np.empty((3, oracles._HEAD_ROWS)), {})
+        assert max(head.values()) >= 2  # the head's sets recur, so later rows guess
+        counts = _counting(oracle, checked=True)
+        X = oracle.query_batch(U)
+    assert counts == {"certified": 0, "hulls": 0, "score_checked": 0}
+    _assert_full_selection(oracle, A, U, X)
+
+
+def test_score_check_skips_rows_whose_scores_could_overflow():
+    # Past |u|_1*max|A| = 2^1000 a score could be NaN (inf - inf), which
+    # np.partition ranks above every number and >= below it, so such rows
+    # are never score-checked, even when their scores happen to be finite
+    # (here the head's direction times 2^1000).
+    A = np.array([[1.0, 1.1, 1.2, 1.3, 1.4] + [-1.0] * 5 + [0.9], [0.5] * 5 + [-0.5] * 5 + [-0.9]])
+    oracle = SubsetSmoothingOracle(A, fraction=5 / 11)
+    U = np.ones((oracles._HEAD_ROWS + 6, 2))
+    U[-1] *= 2.0**1000
+    counts = _counting(oracle, checked=True)
+    X = oracle.query_batch(U)
+    assert counts["score_checked"] == 5
+    assert np.array_equal(X, np.repeat(A[:, :5].mean(axis=1, keepdims=True), U.shape[0], axis=1))
+
+
+def test_score_check_answers_wide_rows_and_skips_the_mixture():
+    # A kolp-wide shape (k=5, m=1000), whose head sets recur but build no
+    # hull, proves at least 80% of its post-head rows from their own
+    # scores, with the answers of the full selection.  The overlapping
+    # two-Gaussian mixture, whose head rows each select a new set, checks
+    # no row.
+    wide = gen_lkp(gen_well_separated_polytope(30, 5, 0.65, seed=44), 5000, 0.1, 3e-5, seed=45,
+                   validate=False)
+    X, counts = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46, checked=True)
+    assert counts["hulls"] == 0
+    assert counts["score_checked"] >= 0.8 * (1000 - oracles._HEAD_ROWS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles.SubsetSmoothingOracle, "_checks", lambda self, counts, means: None)
+        exact, none = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46, checked=True)
+    assert none["score_checked"] == 0
+    assert np.array_equal(X, exact)
+    mix = gen_two_gaussian_mixture(20, 10_000, v_norm=1.0, seed=47, validate=False)
+    assert _kolp_probes(mix.A, 2, mix.w0, 10_000, seed=48, checked=True)[1]["score_checked"] == 0
 
 
 def test_subset_smoothing_batch_errors_name_the_row():
