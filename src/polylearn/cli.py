@@ -242,7 +242,24 @@ def _load_instance_dir(path) -> LkpInstance:
 # _Outcome; ``stage(name)`` times a block under ``timing_sec[name]``
 
 
+# gen's kind-specific flags with their defaults, and the flags each kind reads.
+_GEN_DEFAULTS = {
+    "k": 3, "n": 10_000, "w0": 0.1, "noise_scale": 1.0, "v_norm": 10.0, "delta_target": 0.3
+}
+_GEN_READS = {
+    "two-gaussian": {"n", "v_norm"},
+    "lkp": {"k", "n", "w0", "noise_scale", "delta_target"},
+    "polytope": {"k", "delta_target"},
+}
+
+
 def _cmd_gen(args, constants, stage) -> _Outcome:
+    for name, default in _GEN_DEFAULTS.items():
+        if name not in _GEN_READS[args.kind]:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
+        elif getattr(args, name) is None:
+            setattr(args, name, default)
     out_dir = Path(args.out or ".")
     inst = None
     with stage("generate"):
@@ -504,14 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")
-    p.add_argument("--kind", choices=["two-gaussian", "lkp", "polytope"], required=True)
+    p.add_argument("--kind", choices=list(_GEN_READS), required=True)
     p.add_argument("--d", type=int, default=100)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--w0", type=float, default=0.5)
-    p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--v-norm", type=float, default=10.0)
-    p.add_argument("--delta-target", type=float, default=0.3)
+    for name, default in _GEN_DEFAULTS.items():
+        kinds = ", ".join(kind for kind, reads in _GEN_READS.items() if name in reads)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None,
+                       help=f"default {default}; --kind {kinds} only")
     _add_common(p)
     p.set_defaults(fn=_cmd_gen)
 

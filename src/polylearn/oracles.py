@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -52,6 +53,9 @@ _NEEDLE_CANDIDATES = 10**7
 _NEEDLE_GAP = 0.1
 _NEEDLE_SCANS_BEFORE_BOUND = 2
 _NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
+# The log's anonymous map: private, since a shared one resized by mremap raised
+# SIGBUS on the first write past its old end (Windows has no MAP_PRIVATE).
+_LOG_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 # SubsetSmoothingOracle.query_batch: rows answered by full selection first,
 # rows per certificate test, the rows a recurring set must be expected to
 # answer before its hulls are built, per data dimension (3 to 5 times the
@@ -565,9 +569,13 @@ class SubsetSmoothingOracle(OptOracle):
 class NeedleOracle(OptOracle):
     """Adversarial oracle refusing information: every answer is the zero vector.
 
-    Queries are logged as float32 rows, for building consistent needles, in a
-    buffer that doubles when full.  ``queries`` is a read-only view of the rows
-    logged so far: it copies nothing, and later queries leave it unchanged.
+    Queries are logged as float32 rows, for building consistent needles, in
+    one private anonymous memory map that doubles when full.  ``queries`` is a
+    read-only view of the rows logged so far: it copies nothing, and later
+    queries leave it unchanged.  Growth resizes the map in place (mremap moves
+    page tables and copies no data) unless a view from ``queries`` is alive or
+    the platform cannot resize maps (no mremap, e.g. macOS); then the rows are
+    copied into a fresh map and the views keep the old one.
     """
 
     def __init__(self, dim: int):
@@ -575,7 +583,8 @@ class NeedleOracle(OptOracle):
             raise ValueError("the needle construction needs dimension >= 4")
         self.dim = int(dim)
         self.advertised_epsilon = 8.0 * math.log(dim) / math.sqrt(dim)
-        self._log = np.empty((_NEEDLE_LOG_ROWS, self.dim), dtype=np.float32)
+        self._buf = mmap.mmap(-1, _NEEDLE_LOG_ROWS * 4 * self.dim, **_LOG_MAP_FLAGS)
+        self._log = self._rows(self._buf)
         self._count = 0
 
     @property
@@ -592,13 +601,25 @@ class NeedleOracle(OptOracle):
     def query_count(self) -> int:
         return self._count
 
+    def _rows(self, buf: mmap.mmap) -> np.ndarray:
+        return np.frombuffer(buf, dtype=np.float32).reshape(-1, self.dim)
+
     def _grow(self, rows: int) -> None:
-        """Move the log to a new buffer, doubled until it holds ``rows``: earlier views keep the old one."""
+        """Double the log until it holds ``rows``: in place, or by a copy that earlier views do not see."""
         size = 2 * len(self._log)
         while size < rows:
             size *= 2
-        old, self._log = self._log, np.empty((size, self.dim), dtype=np.float32)
-        self._log[: self._count] = old[: self._count]
+        nbytes = size * 4 * self.dim
+        self._log = None  # our own view of the map would block the resize
+        try:
+            try:
+                self._buf.resize(nbytes)
+            except (BufferError, SystemError, OSError):  # a live view, or no mremap
+                buf = mmap.mmap(-1, nbytes, **_LOG_MAP_FLAGS)
+                self._rows(buf)[: self._count] = self._rows(self._buf)[: self._count]
+                self._buf = buf
+        finally:
+            self._log = self._rows(self._buf)
 
     def query(self, u) -> np.ndarray:
         # Via float64 even from float32, which differs only in quieting signalling NaNs.

@@ -146,7 +146,10 @@ def _normalized_margins(proj_a, proj_v, m: int, size: int, rng: np.random.Genera
     sq_norms = np.einsum("ij,ij->i", G, G)
     if m > r:
         sq_norms += rng.chisquare(m - r, size)
-    return (G @ proj_a - np.max(G @ proj_v, axis=1)) / np.sqrt(sq_norms)
+    # The vertex maxima as a max down the k rows of (G proj_v)^T: a row max of
+    # G @ proj_v runs a BLAS product of inner dimension r and reduces along a
+    # short axis, several times slower for the same bits.
+    return (G @ proj_a - (proj_v.T @ G.T).max(axis=0)) / np.sqrt(sq_norms)
 
 
 def estimate_rsh_probability(

@@ -8,9 +8,9 @@ implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
 the margin depends on; ``explicit_diameter`` loops over pairs.
 ``full_scan_hausdorff``, ``stepwise_envelope``, ``per_query_separation``,
-``pairwise_norm_needles`` and ``ListNeedleLog`` are the exception: they are
-the library's own earlier procedures, kept to pin that the restructured paths
-return the same bits.
+``pairwise_norm_needles``, ``ListNeedleLog`` and ``row_max_margins`` are the
+exception: they are the library's own earlier procedures, kept to pin that the
+restructured paths return the same bits.
 """
 
 from __future__ import annotations
@@ -364,6 +364,16 @@ def full_dimensional_margin_samples(V, a, m: int, trials: int, seed: int) -> np.
     U = rng.standard_normal((trials, m)) @ basis.T
     margins = U @ a - np.max(U @ V, axis=1)
     return margins / np.linalg.norm(U, axis=1)
+
+
+def row_max_margins(proj_a, proj_v, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rsh._normalized_margins`` taking the vertex maxima as a row max of ``G @ proj_v``."""
+    r = proj_a.shape[0]
+    G = rng.standard_normal((size, r))
+    sq_norms = np.einsum("ij,ij->i", G, G)
+    if m > r:
+        sq_norms += rng.chisquare(m - r, size)
+    return (G @ proj_a - np.max(G @ proj_v, axis=1)) / np.sqrt(sq_norms)
 
 
 def per_query_separation(a, oracle, delta: float, d: int, num_queries: int, seed: int):

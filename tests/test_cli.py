@@ -155,11 +155,34 @@ def test_gen_invalid_w0_exits_nonzero(tmp_path, capsys):
 def test_gen_rejects_bad_noise_scale_and_v_norm(tmp_path, capsys, kind, flag, value, name):
     # The check runs before any sampling and names the parameter.
     out = tmp_path / "x"
-    code = run_cli(["gen", "--kind", kind, "--d", 8, "--k", 2, "--n", 40, "--w0", 0.1,
+    shape = ["--k", 2, "--w0", 0.1] if kind == "lkp" else []
+    code = run_cli(["gen", "--kind", kind, "--d", 8, "--n", 40, *shape,
                     f"{flag}={value}", "--seed", 1, "--out", out])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be finite and ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_lkp_runs_with_default_w0(tmp_path):
+    # The default w0 of 0.1 fits k = 3 clusters of ceil(w0*n) points in n.
+    out = tmp_path / "x"
+    assert run_cli(["gen", "--kind", "lkp", "--d", 8, "--k", 3, "--n", 300,
+                    "--noise-scale", 0, "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["w0"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("two-gaussian", f) for f in ("--k", "--w0", "--noise-scale", "--delta-target")]
+    + [("polytope", f) for f in ("--n", "--w0", "--noise-scale", "--v-norm")]
+    + [("lkp", "--v-norm")],
+)
+def test_gen_rejects_flags_its_kind_ignores(tmp_path, capsys, kind, flag):
+    out = tmp_path / "x"
+    code = run_cli(["gen", "--kind", kind, "--d", 8, flag, 2, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} does not apply to --kind {kind}\n"
     assert not out.exists()
 
 

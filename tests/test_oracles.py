@@ -1,4 +1,5 @@
 import math
+import mmap
 import re
 import types
 
@@ -933,6 +934,133 @@ def test_needle_batches_match_list_reference(seed, d, steps):
     assert oracle.query_count > 4 * start
     for snap, saved in snapshots:
         assert snap.tobytes() == saved
+
+
+def _can_remap() -> bool:
+    buf = mmap.mmap(-1, mmap.PAGESIZE, **oracles._LOG_MAP_FLAGS)
+    try:
+        buf.resize(2 * mmap.PAGESIZE)
+    except (SystemError, OSError):
+        return False
+    return True
+
+
+# Whether the needle log can grow in place here: not without mremap (macOS).
+_CAN_REMAP = _can_remap()
+
+
+class _NoRemap(mmap.mmap):
+    """A map whose resize fails as on a platform without mremap."""
+
+    def resize(self, newsize):
+        raise SystemError("mmap: resizing not available--no mremap()")
+
+
+def _needle_rows(rng, n, d, dtype):
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-40, 40, size=(n, 1))
+    special = rng.random((n, d)) < 0.02
+    rows[special] = rng.choice(_LOG_SPECIALS, int(special.sum()))
+    if dtype == "float32":
+        rows = rows.astype(np.float32)
+        rows.view(np.uint32)[rng.random((n, d)) < 0.005] = 0x7F800001  # a signalling NaN
+    return rows
+
+
+def test_needle_log_grows_in_place_without_views():
+    # With no view alive, five doublings keep the one map, and the rows
+    # written before each resize are still there after it.
+    rng = np.random.default_rng(3)
+    d, start = 7, oracles._NEEDLE_LOG_ROWS
+    oracle, ref = needle_oracle(d), ListNeedleLog(d)
+    buf = oracle._buf
+    with np.errstate(all="ignore"):
+        steps = ((start, "float64"), (start + 5, "float32"), (6 * start, "float64"), (23 * start, "float32"))
+        for n, dtype in steps:
+            rows = _needle_rows(rng, n, d, dtype)
+            oracle.query_batch(rows)
+            for u in rows:
+                ref.query(u)
+        for u in _needle_rows(rng, 3, d, "float32"):
+            oracle.query(u)
+            ref.query(u)
+    assert len(oracle._log) == 32 * start and oracle.query_count == 31 * start + 8
+    assert (oracle._buf is buf) == _CAN_REMAP
+    assert oracle.queries.tobytes() == ref.queries.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_needle_copy_path_matches_list_reference(monkeypatch, seed):
+    # Where maps cannot be resized, every growth copies the rows into a new
+    # map; the log still equals the list log bit for bit, float32 input and
+    # signalling NaNs included, and views taken before stay snapshots.
+    monkeypatch.setattr(oracles, "mmap", types.SimpleNamespace(mmap=_NoRemap))
+    rng = np.random.default_rng(seed)
+    d, start = 5 + seed, oracles._NEEDLE_LOG_ROWS
+    oracle, ref = needle_oracle(d), ListNeedleLog(d)
+    snapshots = []
+    with np.errstate(all="ignore"):
+        steps = ((900, "float32", False), (1500, "float64", True), (3000, "float32", True),
+                 (2, "float64", False), (4000, "float32", False))
+        for n, dtype, batch in steps:
+            buf, size = oracle._buf, len(oracle._log)
+            rows = _needle_rows(rng, n, d, dtype)
+            if batch:
+                oracle.query_batch(rows)
+            else:
+                for u in rows:
+                    oracle.query(u)
+            for u in rows:
+                ref.query(u)
+            assert (oracle._buf is buf) == (len(oracle._log) == size)
+            snap = oracle.queries
+            assert snap.tobytes() == ref.queries.tobytes()
+            snapshots.append((snap, snap.tobytes()))
+    assert len(oracle._log) == 16 * start
+    for snap, saved in snapshots:
+        assert snap.tobytes() == saved
+
+
+def test_needle_view_across_growth_is_snapshot():
+    # A view held across a growth keeps its rows (the log moves to a copy);
+    # once it is dropped, the next growth is in place again.
+    d, start = 6, oracles._NEEDLE_LOG_ROWS
+    oracle = needle_oracle(d)
+    rows = np.random.default_rng(4).standard_normal((4 * start, d))
+    oracle.query_batch(rows[:start])
+    view = oracle.queries
+    buf = oracle._buf
+    oracle.query_batch(rows[start : start + 1])
+    assert oracle._buf is not buf and len(oracle._log) == 2 * start
+    assert not np.shares_memory(view, oracle.queries)
+    assert view.tobytes() == rows[:start].astype(np.float32).tobytes()
+    del view
+    buf = oracle._buf
+    oracle.query_batch(rows[start + 1 :])
+    assert len(oracle._log) == 4 * start
+    assert (oracle._buf is buf) == _CAN_REMAP
+    assert oracle.queries.tobytes() == rows.astype(np.float32).tobytes()
+
+
+def test_needle_log_survives_failed_growth(monkeypatch):
+    # If the map can neither be resized (a view is alive) nor replaced, the
+    # query raises, logs nothing, and the log keeps working afterwards.
+    d, start = 5, oracles._NEEDLE_LOG_ROWS
+    oracle = needle_oracle(d)
+    rows = np.random.default_rng(5).standard_normal((start + 1, d))
+    oracle.query_batch(rows[:start])
+    view = oracle.queries
+
+    def no_memory(*args, **kwargs):
+        raise OSError("Cannot allocate memory")
+
+    monkeypatch.setattr(oracles, "mmap", types.SimpleNamespace(mmap=no_memory))
+    with pytest.raises(OSError, match="allocate"):
+        oracle.query(rows[start])
+    assert oracle.query_count == start and len(oracle._log) == start
+    assert np.shares_memory(view, oracle.queries)
+    monkeypatch.undo()
+    oracle.query(rows[start])
+    assert oracle.queries.tobytes() == rows.astype(np.float32).tobytes()
 
 
 def test_needle_consistency_small():

@@ -25,7 +25,7 @@ from polylearn import (
 )
 from polylearn import rsh
 from polylearn.rsh import _normalized_margins, _span_coordinates
-from reference import full_dimensional_margin_samples, per_query_separation
+from reference import full_dimensional_margin_samples, per_query_separation, row_max_margins
 
 
 def test_margin_vertex_never_positive():
@@ -206,6 +206,42 @@ def test_span_draw_reproduces_full_draw(m):
     assert np.allclose(norms, full_norms, rtol=1e-14, atol=0)
     sampled = _normalized_margins(proj_a, proj_v, m, 2000, _Replay(G, r))
     assert np.allclose(sampled, full_margins / full_norms, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    k=st.integers(1, 23),
+    extra=st.integers(0, 5),
+    size=st.integers(1, 3000),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_normalized_margins_equal_row_max_bits(seed, r, k, extra, size, log_scale):
+    # The column max of proj_v^T G^T gives the same bits as the row max of
+    # G proj_v, for any span rank, vertex count, subspace excess and scale.
+    rng = np.random.default_rng(seed)
+    proj_a = rng.standard_normal(r) * 10.0**log_scale
+    proj_v = rng.standard_normal((r, k)) * 10.0**log_scale
+    got = _normalized_margins(proj_a, proj_v, r + extra, size, np.random.default_rng(seed))
+    want = row_max_margins(proj_a, proj_v, r + extra, size, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case, delta, seed",
+    [("segment", 1.0, 5), ("sphere", 0.5, 6)],
+)
+def test_estimate_successes_equal_row_max_kernel(monkeypatch, case, delta, seed):
+    # The separation benchmark's two estimates count the same successes with
+    # either vertex-maximum kernel, over several sampling blocks.
+    K, a, m = _segment_case(50) if case == "segment" else _sphere_case()
+    trials = 3 * rsh._BLOCK + 17
+    est = estimate_rsh_probability(K, a, delta=delta, m=m, trials=trials, seed=seed)
+    monkeypatch.setattr(rsh, "_normalized_margins", row_max_margins)
+    ref = estimate_rsh_probability(K, a, delta=delta, m=m, trials=trials, seed=seed)
+    assert 0 < est.successes < trials
+    assert est.successes == ref.successes
 
 
 def _segment_case(m):
