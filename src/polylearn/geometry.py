@@ -120,13 +120,44 @@ class SimplexCoeffs:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError("simplex coefficients must be a 1-d vector")
-        if w.size and w.min() < -_SIMPLEX_TOL:
-            raise ValueError(f"negative simplex coefficient: {w.min()}")
-        if abs(float(w.sum()) - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"simplex coefficients sum to {w.sum()}, expected 1")
+        _check_simplex_rows(w[None])
         w = np.clip(w, 0.0, None)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _rows(cls, Lam: np.ndarray) -> tuple["SimplexCoeffs", ...]:
+        """One ``SimplexCoeffs`` per row of the m x k matrix ``Lam``.
+
+        The constructor's checks, conversion and clipping run once for the
+        whole matrix, and every row's weights have the bytes that
+        constructing it would give.
+        """
+        Lam = np.asarray(Lam, dtype=np.float64)
+        _check_simplex_rows(Lam)
+        weights = np.clip(Lam, 0.0, None)
+        weights.flags.writeable = False
+        rows = []
+        for w in weights:
+            coeffs = object.__new__(cls)
+            object.__setattr__(coeffs, "weights", w)
+            rows.append(coeffs)
+        return tuple(rows)
+
+
+def _check_simplex_rows(Lam: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row of the m x k matrix ``Lam`` lies on the simplex.
+
+    A row passes when its least entry is at least -_SIMPLEX_TOL and its sum
+    is within _SIMPLEX_TOL of 1; both tests fail on NaN.  The least entries
+    are checked first, so no row with a -inf entry reaches the sums.
+    """
+    for low in Lam.min(-1, initial=np.inf).tolist():
+        if not low >= -_SIMPLEX_TOL:
+            raise ValueError(f"negative or NaN simplex coefficient: {low}")
+    for total in Lam.sum(-1).tolist():
+        if not abs(total - 1.0) <= _SIMPLEX_TOL:
+            raise ValueError(f"simplex coefficients sum to {total}, expected 1")
 
 
 def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -146,6 +177,16 @@ def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         D = Yt[None, :, :] - Xt[start : start + block, None, :]
         out[start : start + block] = np.sqrt((D * D).sum(-1))
     return out
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot products A[..., i, :] @ B[..., i, :] over the last axis, one BLAS dot each.
+
+    A stacked matmul of 1 x n by n x 1 slices calls the same dot kernel as
+    ``a @ b`` (or ``np.linalg.norm``) on one contiguous row, so the bits agree
+    and do not depend on the other rows.
+    """
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 def diameter(W) -> float:
@@ -237,75 +278,84 @@ def _min_norm_point(
     return float(np.linalg.norm(S @ lam - x)), lam
 
 
-def _swap_last_axes(D: np.ndarray) -> np.ndarray:
-    """A contiguous copy of a points x k x d array as points x d x k."""
-    return np.ascontiguousarray(D.transpose(0, 2, 1))
+def _stopping_test(D, lam, scale, target, atol: float, radius: float | None):
+    """``_min_norm_point``'s stopping test at the hull points lam @ D; returns (decided, f).
 
-
-def _stopping_test(C, lam, target, scale, atol: float, radius: float | None) -> np.ndarray:
-    """``_min_norm_point``'s stopping test at the hull points C lam, one per row of ``lam``."""
-    r = (_swap_last_axes(C) * lam[:, None, :]).sum(-1)
-    f = (r * r).sum(-1)
-    gap = 2.0 * (f - (C * r[:, None, :]).sum(-1).min(-1))
+    ``D`` holds the differences s_j - x (rows x k x d) and row i of ``lam``
+    one candidate's weights.  The residual r = (lam @ D) / scale, its squared
+    norm f and the scores C r = (D @ r) / scale are in units of ``scale``, as
+    the solver's C = D / scale, with only the per-row vectors scaled.  Each
+    product is a stacked matmul, one BLAS matrix-vector call per row, so a
+    row's bits do not depend on the others.
+    """
+    r = np.matmul(lam[:, None, :], D)[:, 0, :] / scale[:, None]
+    f = _row_dots(r, r)
+    gap = 2.0 * (f - (np.matmul(D, r[:, :, None])[:, :, 0] / scale[:, None]).min(-1))
     decided = gap <= target
     if radius is not None:
         decided |= (f <= (radius / scale) ** 2) | (f - gap > ((radius + atol) / scale) ** 2)
-    return decided
+    return decided, f
 
 
 def _hull_distances(X: np.ndarray, S: np.ndarray, tol: float, atol: float = 0.0, radius: float | None = None):
     """``_min_norm_point`` for every column of ``X`` against one hull; returns (dists, Lam).
 
-    Row i of the m x k matrix ``Lam`` holds column i's weights.  Equal columns
-    are solved once.  Each distinct column tries two exact candidates: its
-    nearest vertex (the solver's first iterate) and, when all of its
-    barycentric weights are nonnegative, its projection onto aff(S), whose
-    weights come from one pseudo-inverse of the edge matrix.  A candidate is
-    accepted only by the solver's own stopping test (gap target and, given
-    ``radius``, both radius decisions), evaluated on the differences s_j - x;
-    every other column goes to ``_min_norm_point``.  The differences are
-    point-major (points x k x d) and every reduction runs along the last
-    axis, so a column's result does not depend on the batch it arrives in.
+    Row i of the m x k matrix ``Lam`` holds column i's weights.  Each column
+    tries two exact candidates: its nearest vertex (the solver's first
+    iterate) and, when all of its barycentric weights are nonnegative, its
+    projection onto aff(S), whose weights come from one pseudo-inverse of the
+    edge matrix.  A candidate is accepted only by the solver's own stopping
+    test (gap target and, given ``radius``, both radius decisions), evaluated
+    on the differences s_j - x, and its distance is scale * sqrt(f) of that
+    test.  Every other column goes to ``_min_norm_point``, once per distinct
+    value: a dict maps its bytes to the first output row, and repeats copy
+    that row.  Columns go in blocks whose point-major (points x k x d)
+    difference array holds at most ``_BLOCK`` elements, and every product is
+    one BLAS call per row, so a column's result does not depend on the batch
+    it arrives in.  Memory beyond the outputs is O(``_BLOCK`` + d * the
+    number of distinct solver columns), the latter for the dict's keys.
     """
     d, k = S.shape
-    Xt = np.ascontiguousarray(X.T, dtype=np.float64)
-    _, first, inverse = np.unique(
-        Xt.view(np.dtype((np.void, 8 * d))).ravel(), return_index=True, return_inverse=True
-    )
-    U = Xt[first]
-    dists = np.empty(U.shape[0])
-    Lam = np.zeros((U.shape[0], k))
+    m = X.shape[1]
+    dists = np.empty(m)
+    Lam = np.zeros((m, k))
+    St = np.ascontiguousarray(S.T)
     edges_pinv = None
+    solved: dict[bytes, int] = {}
     block = max(1, _BLOCK // (k * d))
-    for start in range(0, U.shape[0], block):
-        Ub = U[start : start + block]
-        D = S.T[None, :, :] - Ub[:, None, :]
-        norms2 = (D * D).sum(-1)
+    for start in range(0, m, block):
+        Ub = np.ascontiguousarray(X[:, start : start + block].T, dtype=np.float64)
+        rows = np.arange(Ub.shape[0])
+        D = St[None, :, :] - Ub[:, None, :]
+        norms2 = _row_dots(D, D)
         scale = np.sqrt(norms2.max(-1))
         scale[scale == 0.0] = 1.0
-        C = D / scale[:, None, None]
         target = np.maximum(np.maximum(tol, atol / scale) ** 2, _GAP_FLOOR)
-        lam = np.zeros((Ub.shape[0], k))
-        lam[np.arange(Ub.shape[0]), norms2.argmin(-1)] = 1.0
-        ok = _stopping_test(C, lam, target, scale, atol, radius)
-        rest = np.flatnonzero(~ok)
+        lam = np.zeros((rows.size, k))
+        lam[rows, norms2.argmin(-1)] = 1.0
+        ok, f = _stopping_test(D, lam, scale, target, atol, radius)
+        rest = rows[~ok]
         if rest.size and k > 1:
             if edges_pinv is None:
                 edges_pinv = np.linalg.pinv(S[:, 1:] - S[:, :1])
             # Barycentric coordinates of the projection onto aff(S).
-            z = (edges_pinv[None, :, :] * (Ub[rest] - S[:, 0])[:, None, :]).sum(-1)
+            z = np.matmul(edges_pinv, (Ub[rest] - S[:, 0])[:, :, None])[:, :, 0]
             y = np.concatenate([1.0 - z.sum(-1, keepdims=True), z], axis=1)
             inside = (y >= 0.0).all(-1)
             rest, y = rest[inside], y[inside]
-            accept = _stopping_test(C[rest], y, target[rest], scale[rest], atol, radius)
-            lam[rest[accept]] = y[accept]
-            ok[rest[accept]] = True
-        res = (_swap_last_axes(D[ok]) * lam[ok][:, None, :]).sum(-1)
-        dists[start + np.flatnonzero(ok)] = np.sqrt((res * res).sum(-1))
-        Lam[start : start + Ub.shape[0]] = lam
-        for i in start + np.flatnonzero(~ok):
-            dists[i], Lam[i] = _min_norm_point(U[i], S, tol, atol, radius)
-    return dists[inverse], Lam[inverse]
+            accept, f_y = _stopping_test(D[rest], y, scale[rest], target[rest], atol, radius)
+            rest = rest[accept]
+            lam[rest], f[rest], ok[rest] = y[accept], f_y[accept], True
+        dists[start : start + rows.size] = scale * np.sqrt(f)
+        Lam[start : start + rows.size] = lam
+        for i in rows[~ok]:
+            key = Ub[i].tobytes()
+            first = solved.setdefault(key, start + i)
+            if first == start + i:
+                dists[first], Lam[first] = _min_norm_point(Ub[i], S, tol, atol, radius)
+            else:
+                dists[start + i], Lam[start + i] = dists[first], Lam[first]
+    return dists, Lam
 
 
 def _leave_one_out(V: np.ndarray, tol: float, atol: float = 0.0, radius: float | None = None):
@@ -342,8 +392,8 @@ def dist_to_hull(x, S, tol: float = 1e-6) -> tuple[float, SimplexCoeffs]:
     point at exactly the reported distance from ``x``.
     """
     xv, S = _query_args(x, S, "cannot take the distance to an empty hull")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     dist, lam = _min_norm_point(xv, S, tol)
     return dist, SimplexCoeffs(lam)
 
@@ -357,10 +407,10 @@ def hull_membership(x, S, radius: float, tol: float = 1e-9) -> tuple[bool, Simpl
     accuracy tol, and warns if it cannot.
     """
     xv, S = _query_args(x, S, "membership in an empty hull is undefined")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     dist, lam = _min_norm_point(xv, S, 1e-12, atol=tol, radius=radius)
     return dist <= radius + tol, SimplexCoeffs(lam)
 
@@ -384,6 +434,8 @@ def hausdorff(Pm, Qm, tol: float = 1e-6) -> float:
         raise ValueError("hausdorff distance needs two nonempty point sets")
     if P.dim != Q.dim:
         raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     atol = tol * max(float(_pairwise_distances(A, A[:, :1]).max()) for A in (P.entries, Q.entries))
     best = 0.0
     for A, B in ((P.entries, Q.entries), (Q.entries, P.entries)):

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VPolytope, _pairwise_distances, as_point_matrix, diameter, dist_to_hull
+from .geometry import (
+    VPolytope,
+    _pairwise_distances,
+    _row_dots,
+    as_point_matrix,
+    diameter,
+    dist_to_hull,
+)
 
 __all__ = [
     "OptOracle",
@@ -86,15 +93,6 @@ def _check_unit(u, dim: int) -> np.ndarray:
     if u.shape[0] != dim:
         raise ValueError(f"query dim {u.shape[0]} != oracle dim {dim}")
     return u
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row i's dot product A[i] @ B[i] for each i, one BLAS dot per row.
-
-    A stacked matmul of 1 x n by n x 1 slices calls the same dot kernel as
-    ``a @ b`` (or ``np.linalg.norm``) on one contiguous row, so the bits agree.
-    """
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _unit_directions(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    _BLOCK,
     PointMatrix,
     SimplexCoeffs,
     _hull_distances,
@@ -127,12 +128,12 @@ def in_soft_hull(
 
 def _soft_radius(epsilon: float, diamW: float, tol: float) -> float:
     """eps*diamW, once epsilon, diamW and the tolerance are checked to be nonnegative."""
-    if diamW < 0:
-        raise ValueError("diamW must be nonnegative")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not diamW >= 0:
+        raise ValueError(f"diamW must be nonnegative, got {diamW}")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return epsilon * diamW
 
 
@@ -241,11 +242,14 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     else:
         far_radius = params.epsilon3 * dw
         pruned = np.zeros(n, dtype=bool)
-        for j in range(n):
-            far = np.flatnonzero(_pairwise_distances(X[:, [j]], X)[0] >= far_radius)
-            if far.size:
-                dist = _min_norm_point(X[:, j], X[:, far], 1e-12, atol=tol, radius=radius)[0]
-                pruned[j] = dist <= radius + tol
+        # Far sets come from blocks of `rows` rows of distances: O(_BLOCK + n*rows) memory.
+        rows = max(1, _BLOCK // n)
+        for s in range(0, n, rows):
+            for j, dist_j in enumerate(_pairwise_distances(X[:, s : s + rows], X), s):
+                far = np.flatnonzero(dist_j >= far_radius)
+                if far.size:
+                    dist = _min_norm_point(X[:, j], X[:, far], 1e-12, atol=tol, radius=radius)[0]
+                    pruned[j] = dist <= radius + tol
         survivors = np.flatnonzero(~pruned)
     kept = _greedy_separated(X, survivors, 2.0 * params.epsilon3 * dw)
     Q = Wm.select(kept)
@@ -258,7 +262,7 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
         q_indices=tuple(kept),
         params=params,
         diam_w=dw,
-        certificate=tuple(SimplexCoeffs(lam) for lam in Lam) if found else None,
+        certificate=SimplexCoeffs._rows(Lam) if found else None,
         reason=None if found else (
             f"candidate set of size {len(kept)} (from {survivors.size} survivors) "
             "failed the envelope check"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,30 @@ def test_simplex_coeffs_validation():
         SimplexCoeffs(np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[np.nan], [np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, np.inf], [-np.inf, 1.0],
+     [np.inf, -np.inf]],
+    ids=["nan", "nan-one-entry", "nan-every-entry", "inf", "inf-last", "minus-inf", "inf-minus-inf"],
+)
+def test_simplex_coeffs_reject_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="simplex coefficient"):
+        SimplexCoeffs(np.array(weights))
+    # the batched certificate path runs the same checks, row by row
+    rows = np.array([[1.0] + [0.0] * (len(weights) - 1), weights])
+    with pytest.raises(ValueError, match="simplex coefficient"):
+        SimplexCoeffs._rows(rows)
+
+
+def test_simplex_coeffs_rows_equal_one_construction_per_row():
+    Lam = np.array([[0.25, 0.75, 0.0], [1.0 + 1e-10, -1e-10, 0.0], [-0.0, 0.5, 0.5]])
+    rows = SimplexCoeffs._rows(Lam)
+    assert [c.weights.tobytes() for c in rows] == [SimplexCoeffs(w).weights.tobytes() for w in Lam]
+    assert all(isinstance(c, SimplexCoeffs) and not c.weights.flags.writeable for c in rows)
+    with pytest.raises(ValueError, match="sum to"):
+        SimplexCoeffs._rows(np.vstack([Lam, [0.7, 0.7, 0.0]]))
+
+
 def test_dist_to_hull_membership_column():
     S = PointMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     d, w = dist_to_hull(S.column(1), S)
@@ -89,6 +114,22 @@ def test_dist_to_hull_errors():
         dist_to_hull(np.array([0.0]), np.zeros((1, 0)))
     with pytest.raises(ValueError):
         dist_to_hull(np.array([np.inf]), S)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda S: dist_to_hull(np.ones(2), S, tol=np.nan), "tol"),
+        (lambda S: hull_membership(np.ones(2), S, radius=np.nan), "radius"),
+        (lambda S: hull_membership(np.ones(2), S, radius=0.1, tol=np.nan), "tol"),
+        (lambda S: hausdorff(S, S + 1.0, tol=np.nan), "tol"),
+    ],
+    ids=["dist_to_hull-tol", "hull_membership-radius", "hull_membership-tol", "hausdorff-tol"],
+)
+def test_hull_queries_reject_nan_parameters(call, name):
+    S = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=rf"^{name} must be \w+, got nan$"):
+        call(S)
 
 
 def test_dist_to_hull_lipschitz_in_query():
@@ -397,6 +438,65 @@ def test_hull_distances_fast_path_and_fallback_both_run(monkeypatch):
     dists, _ = _hull_distances(np.array([[0.5], [-1e-3]]), S, 1e-8)
     assert len(calls) >= 1
     assert dists[0] == pytest.approx(1e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("membership", [False, True])
+def test_hull_distances_bit_identical_across_blocks(monkeypatch, membership):
+    # Enough columns for at least three blocks of the kernel, on vertices,
+    # inside, just outside an edge and far out: the first two kinds are
+    # accepted candidates, the others go to the solver.
+    rng = np.random.default_rng(5)
+    d, k = 64, 16
+    S = rng.standard_normal((d, k))
+    block = geometry._BLOCK // (k * d)
+    cols = []
+    for _ in range(3 * block // 4 + 1):
+        i, j = rng.choice(k, 2, replace=False)
+        outward = rng.standard_normal(d)
+        cols += [
+            S[:, i],
+            S @ rng.dirichlet(np.ones(k)),
+            0.5 * (S[:, i] + S[:, j]) + 1e-3 * outward,
+            S.mean(axis=1) + 3.0 * outward,
+        ]
+    X = np.column_stack(cols)
+    assert X.shape[1] >= 3 * block
+    args = (1e-12, 1e-9, 0.5) if membership else (1e-6,)
+    calls = _count_solves(monkeypatch)
+    dists, Lam = _hull_distances(X, S, *args)
+    assert 0 < len(calls) < X.shape[1]
+    for i in range(X.shape[1]):
+        one_d, one_L = _hull_distances(X[:, [i]], S, *args)
+        assert one_d[0] == dists[i] and np.array_equal(one_L[0], Lam[i])
+
+
+def test_hull_distances_solve_each_distinct_fallback_column_once(monkeypatch):
+    # Two columns just outside a triangle's edges need the solver, a vertex
+    # does not; repeated over more than two blocks, each is solved once.
+    S = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    distinct = np.array([[0.5, -1e-3, 0.0], [-1e-3, 0.5, 1.0]])
+    reps = 2 * (geometry._BLOCK // S.size) // distinct.shape[1] + 1
+    X = np.tile(distinct, (1, reps))
+    calls = _count_solves(monkeypatch)
+    dists, Lam = _hull_distances(X, S, 1e-8)
+    assert len(calls) == 2
+    one = _hull_distances(distinct, S, 1e-8)
+    assert np.array_equal(dists, np.tile(one[0], reps)) and np.array_equal(Lam, np.tile(one[1], (reps, 1)))
+    assert dists[0] == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_hull_distances_peak_memory_stays_near_the_outputs():
+    # The kernel works in blocks of the columns and copies no P-sized array:
+    # its traced peak on an LkP instance stays within 1.3 x P.nbytes.
+    M = gen_well_separated_polytope(200, 5, 0.65, seed=3)
+    P = gen_lkp(M, 5000, 0.1, 4e-5, seed=4, validate=False).P.entries
+    tracemalloc.start()
+    try:
+        _hull_distances(P, M.vertices.entries, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * P.nbytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,17 @@ def test_in_soft_hull_radius_exceeded():
     assert not outside
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"epsilon": np.nan}, "epsilon"), ({"diamW": np.nan}, "diamW"), ({"tol": np.nan}, "tol")],
+    ids=["epsilon", "diamW", "tol"],
+)
+def test_in_soft_hull_rejects_nan_parameters(kwargs, name):
+    args = {"epsilon": 0.1, "diamW": 1.0, "tol": 1e-9, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must be nonnegative, got nan$"):
+        in_soft_hull(np.ones(2), np.array([[0.0, 1.0], [0.0, 0.0]]), **args)
+
+
 def test_in_soft_hull_boundary_point():
     # w exactly eps*diamW along the outward normal from a hull point
     S = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -303,6 +314,23 @@ def test_find_soft_envelope_matches_stepwise_reference(kind, seed, dim, n, tol):
         ]
     else:
         assert got.Q is None and got.certificate is None
+
+
+@pytest.mark.parametrize("block", [1, 7, 30])
+def test_find_soft_envelope_row_blocks_match_stepwise_reference(monkeypatch, block):
+    # With small blocks, the far sets are read across many row blocks of
+    # distances, and a block boundary must not change any far set.
+    monkeypatch.setattr(softhull, "_BLOCK", block)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        W, params, _, k = _random_cluster_instance(rng)
+        assert W.count ** 2 > block
+        got, want = find_soft_envelope(W, params), stepwise_envelope(W, params)
+        assert (got.found, got.q_indices, got.diam_w) == (True, want.q_indices, want.diam_w)
+        assert len(got.q_indices) == k
+        assert [c.weights.tobytes() for c in got.certificate] == [
+            c.weights.tobytes() for c in want.certificate
+        ]
 
 
 @pytest.mark.parametrize(
