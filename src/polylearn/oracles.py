@@ -64,12 +64,12 @@ _NEEDLE_LOG_ROWS = 1024  # NeedleOracle's log rows before its first doubling
 # SIGBUS on the first write past its old end (Windows has no MAP_PRIVATE).
 _LOG_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 # SubsetSmoothingOracle.query_batch: rows answered by full selection first,
-# rows per certificate test, the rows a recurring set must be expected to
+# rows per margin-test block, the rows a recurring set must be expected to
 # answer before its hulls are built, per data dimension (3 to 5 times the
 # measured cost of one set's two hulls, on LkP data with n = 500 to 10^5),
 # and the margin's allowance for qhull's tolerances and the test's own
 # rounding, in units of |u|_1*max|A|.  The row counts are in full-selection
-# rows (gemv and partition), measured before rows could be score-checked.
+# rows (gemv and partition), measured when rows without hulls took it.
 _HEAD_ROWS = 64
 _CERT_BLOCK = 1024
 _CERT_ROWS = {2: 250, 3: 300, 4: 2000, 5: 9000}
@@ -311,16 +311,17 @@ class SubsetSmoothingOracle(OptOracle):
     the oracle is scale-equivariant in u and accepts any nonzero finite direction.
 
     ``query_batch`` reuses the selected sets that recur.  Its first 64 rows
-    take the full selection: score all n columns, select.  A set S chosen
-    there by c rows, with r rows left, gets a certificate when c >= 2 and
-    r*c/64 reaches a row count set per dimension (``_CERT_ROWS``; no
-    certificate at a dimension it does not list): the hull points H_S of
-    S's columns and H_C of the others, that is qhull's vertices and
-    coplanar points, or all of a side's columns when qhull fails (flat or
-    duplicate data), the side has at most dim+1 columns, or dim = 1.  A
-    later row u takes S's answer when
+    take the full selection: score all n columns, select.  Each set S chosen
+    there by c >= 2 rows, with r rows left, gets two point sets.  When
+    r*c/64 reaches a row count set per dimension (``_CERT_ROWS``; never at a
+    dimension it does not list), they are the hull points P_S of S's columns
+    and P_C of the others, that is qhull's vertices and coplanar points, or
+    all of a side's columns when qhull fails (flat or duplicate data), the
+    side has at most dim+1 columns, or dim = 1; otherwise P_S is S's columns
+    and P_C all other columns.  A later row u guesses the set whose mean
+    scores highest along u and takes that set's answer when
 
-        min(u @ H_S) - max(u @ H_C) > (4*gamma_dim + 1e-9) * |u|_1 * max|A|,
+        min(u @ P_S) - max(u @ P_C) > (4*gamma_dim + 1e-9) * |u|_1 * max|A|,
 
     with gamma_dim = dim*eps/(1 - dim*eps) and eps = 2^-53; every other row
     takes the full selection.  Why this proves the full selection picks S:
@@ -329,35 +330,21 @@ class SubsetSmoothingOracle(OptOracle):
     any summation order, with or without fused multiply-adds (Higham,
     Accuracy and Stability of Numerical Algorithms, section 3.1), and this
     holds for the full selection's gemv and the test's gemm alike.  The
-    exact minimum of u.x over S is attained at a point of H_S and the exact
-    maximum over the other columns at a point of H_C.  So every column of S
-    gets a computed score of at least min(u @ H_S) - 2e and every other
-    column at most max(u @ H_C) + 2e: past 4e, each column of S outscores
+    exact minimum of u.x over S is attained at a point of P_S and the exact
+    maximum over the other columns at a point of P_C.  So every column of S
+    gets a computed score of at least min(u @ P_S) - 2e and every other
+    column at most max(u @ P_C) + 2e: past 4e, each column of S outscores
     each other column strictly, no tie at the cut is left, and the size-|S|
     selection is S.  qhull leaves out only points it finds below every
     facet by more than its distance tolerances, which are a small multiple
     of dim*eps*max|A| (with "Qc", a point within them of a facet is kept as
     coplanar); such a point lies within that distance of the kept points'
-    hull and can exceed max(u @ H) by |u|_2 times it at most, far below
+    hull and can exceed max(u @ P) by |u|_2 times it at most, far below
     the 1e-9 term, which also covers the rounding of the test's own
     subtraction and of |u|_1*max|A|.  Rows with |u|_1*max|A| outside
-    [2^-900, 2^1000] are never certified: below it, the absolute error of
+    [2^-900, 2^1000] make no guess: below it, the absolute error of
     products that underflow could exceed the margin, and above it, scores
     could overflow.
-
-    A second tier serves every dimension and every n, with no cost rule:
-    the sets that at least 2 head rows chose are score-checked.  A later
-    row that no certificate answers guesses the one whose mean scores
-    highest along u, and after the row's own gemv, with t the least of its
-    computed scores over the guess S, takes S's answer when exactly |S|
-    columns score at least t; otherwise it takes the full selection on the
-    same scores.  No rounding margin is needed, since the check reads the
-    scores the selection would rank: the count says every column outside S
-    scores strictly below every column of S, so the stable size-|S|
-    selection is S, with no tie at the cut.  Only rows with
-    |u|_1*max|A| <= 2^1000 are checked, so every score is finite
-    (``np.partition`` orders NaN differently from ``>=``).  A checked row
-    still pays its O(n) gemv, a gather and a count; it skips the partition.
     """
 
     def __init__(self, data, fraction: float):
@@ -396,16 +383,12 @@ class SubsetSmoothingOracle(OptOracle):
             raise ValueError(f"query direction {i} must be {'nonzero' if finite[i] else 'finite'}")
         return U
 
-    def _selections(self, U, which=None, members=None):
+    def _selections(self, U):
         """Yield (rows, chosen) per block of the checked rows U: the selection masks of U's rows ``rows``.
 
         Row r of ``chosen`` selects every column scoring above the
         subset_size-th largest score, then the lowest-index columns tying
-        with it: the stable sorted prefix, found by O(n) selection.  With
-        ``which``, the index per row of U of its guessed set among
-        ``members`` (column index arrays; -1 for no guess), rows whose own
-        scores prove their guess (``_score_checked``) skip the selection
-        and are left out of ``rows``; the others' entries become -1.
+        with it: the stable sorted prefix, found by O(n) selection.
         """
         A = self._data.entries
         n = A.shape[1]
@@ -421,34 +404,13 @@ class SubsetSmoothingOracle(OptOracle):
             # which would move near-tie selections with the batch size.
             for r, u in enumerate(rows):
                 np.matmul(u, A, out=scores[r])
-            left = range(start, start + rows.shape[0])
-            if which is not None:
-                proved = self._score_checked(scores, which[start : start + block], members)
-                if proved.any():
-                    left = start + np.flatnonzero(~proved)
-                    if not left.size:
-                        continue
-                    scores = scores[~proved]
             kth = np.partition(scores, cut, axis=1)[:, cut, None]
             chosen = scores >= kth
             for r in np.flatnonzero(chosen.sum(axis=1) > size):
                 row, k = chosen[r], kth[r, 0]
                 row[:] = scores[r] > k
                 row[np.flatnonzero(scores[r] == k)[: size - row.sum()]] = True
-            yield left, chosen
-
-    def _score_checked(self, scores, guesses, members) -> np.ndarray:
-        """Whether each row of ``scores`` proves its guessed set; unproved ``guesses`` entries become -1.
-
-        A guess (an index into ``members``, or -1 for none) is proved when
-        exactly subset_size columns score at least the lowest score among
-        the set's columns.
-        """
-        proved = guesses >= 0
-        for r, g in enumerate(guesses.tolist()):
-            if g >= 0 and np.count_nonzero(scores[r] >= np.take(scores[r], members[g]).min()) != self.subset_size:
-                proved[r], guesses[r] = False, -1
-        return proved
+            yield range(start, start + rows.shape[0]), chosen
 
     def top_indices(self, u) -> np.ndarray:
         """Indices of the subset_size columns scoring highest along u, ascending."""
@@ -458,46 +420,22 @@ class SubsetSmoothingOracle(OptOracle):
     def query(self, u) -> np.ndarray:
         return self.query_batch(np.reshape(u, (1, -1)))[:, 0]
 
-    def _exact(self, U, out, means: dict, checks=None) -> Counter:
+    def _exact(self, U, out, means: dict) -> Counter:
         """Answer each checked row of U with its selected set's mean, into the same column of ``out``.
 
-        With ``checks`` (see ``_checks``), each row first guesses the set
-        whose mean scores highest along it, and a guess its scores prove
-        (``_score_checked``) needs no selection; rows with |u|_1*max|A|
-        above 2^1000 make no guess, so every score compared is finite.
         ``means`` gains the answer of each set not in it yet.  Returns how
         many rows selected each set, keyed like ``means``.
         """
         A = self._data.entries
         counts = Counter()
-        which = members = None
-        if checks is not None:
-            keys, set_means, members = checks
-            finite = np.abs(U).sum(axis=1) * self._max_abs <= 2.0**1000
-            which = np.where(finite, (U @ set_means).argmax(axis=1), -1)
-        for rows, chosen in self._selections(U, which, members):
+        for rows, chosen in self._selections(U):
             for r, key in enumerate(np.packbits(chosen, axis=1)):
                 key = key.tobytes()
                 if key not in means:
                     means[key] = A[:, np.flatnonzero(chosen[r])].mean(axis=1)
                 counts[key] += 1
                 out[:, rows[r]] = means[key]
-        if checks is not None:
-            proved = which >= 0
-            out[:, proved] = set_means[:, which[proved]]
-            counts.update(dict(zip(keys, np.bincount(which[proved], minlength=len(keys)).tolist())))
         return counts
-
-    def _mask(self, key: bytes) -> np.ndarray:
-        """The selection mask that a ``means`` key packs."""
-        return np.unpackbits(np.frombuffer(key, np.uint8), count=self._data.count).astype(bool)
-
-    def _checks(self, counts: Counter, means: dict):
-        """(keys, means as a dim x c array, column indices) of the sets at least 2 head rows selected, or None."""
-        keys = [key for key, count in counts.items() if count >= 2]
-        if not keys:
-            return None
-        return keys, np.column_stack([means[key] for key in keys]), [np.flatnonzero(self._mask(key)) for key in keys]
 
     def _hull_points(self, mask) -> np.ndarray:
         """The columns of the data picked by ``mask`` that span their hull, as a dim x h array."""
@@ -512,54 +450,85 @@ class SubsetSmoothingOracle(OptOracle):
             return P
         return P[:, np.union1d(hull.vertices, hull.coplanar[:, 0])]
 
-    def _certificates(self, counts: Counter, left: int) -> list[tuple[bytes, np.ndarray, np.ndarray]]:
-        """(key, H_S, H_C) for each set worth its hulls, given the head rows' ``counts`` and ``left`` rows."""
-        need = _CERT_ROWS.get(self.dim)
-        if need is None:
-            return []
-        head = counts.total()
-        certs = []
-        for key, count in counts.items():
-            if count >= 2 and left * count >= need * head:
-                mask = self._mask(key)
-                certs.append((key, self._hull_points(mask), self._hull_points(~mask)))
-        return certs
+    def _reusable(self, counts: Counter, means: dict, left: int) -> list[tuple[np.ndarray, ...]]:
+        """(mean, P, inside) for each set at least 2 of the head rows' ``counts`` chose, given ``left`` rows.
 
-    def _certified(self, rows, certs) -> np.ndarray:
-        """Per row, the index of the certificate proving its selection, or -1."""
+        P holds the point sets P_S (its columns ``inside``) and P_C of the
+        class docstring: the two hulls' points where the cost rule pays for
+        them, else the data itself.
+        """
+        need = _CERT_ROWS.get(self.dim)
+        head = counts.total()
+        sets = []
+        for key, count in counts.items():
+            if count < 2:
+                continue
+            mask = np.unpackbits(np.frombuffer(key, np.uint8), count=self._data.count).astype(bool)
+            if need is not None and left * count >= need * head:
+                HS = self._hull_points(mask)
+                sets.append((means[key], np.hstack([HS, self._hull_points(~mask)]), np.arange(HS.shape[1])))
+            else:
+                sets.append((means[key], self._data.entries, np.flatnonzero(mask)))
+        return sets
+
+    def _proved(self, rows, sets) -> np.ndarray:
+        """Per row, the index in ``sets`` (``_reusable``) of its guess if the margin test proves it, or -1.
+
+        A row fails once a column of P_C scores at least min(u @ P_S) -
+        margin*|u|_1*max|A|.  Hull points are scored and tested for all the
+        rows guessing the set at once.  The data's columns are scored by one
+        matrix product per block of at most 32 rows and 2^20 scores, into one
+        buffer, and tested row by row while the row's scores are in cache.
+        """
         which = np.full(rows.shape[0], -1)
+        if not sets:
+            return which
+        A = self._data.entries
         scale = np.abs(rows).sum(axis=1) * self._max_abs
-        margin = np.where((2.0**-900 <= scale) & (scale <= 2.0**1000), self._margin * scale, np.inf)
-        for i, (_, HS, HC) in enumerate(certs):
-            gap = (rows @ HS).min(axis=1) - (rows @ HC).max(axis=1, initial=-np.inf)
-            which[gap > margin] = i
+        guess = (rows @ np.column_stack([mean for mean, _, _ in sets])).argmax(axis=1)
+        guess[(scale < 2.0**-900) | (scale > 2.0**1000)] = -1
+        block = max(1, min(32, 2**20 // A.shape[1]))
+        buf = np.empty((block, A.shape[1]))
+        for g, (_, P, inside) in enumerate(sets):
+            r = np.flatnonzero(guess == g)
+            margins = self._margin * scale[r]
+            if P is not A:
+                scores = rows[r] @ P
+                floor = scores[:, inside].min(axis=1) - margins
+                ok = np.count_nonzero(scores >= floor[:, None], axis=1)
+            else:
+                ok = []
+                for start in range(0, r.size, block):
+                    rb = r[start : start + block]
+                    scores = np.matmul(rows[rb], A, out=buf[: rb.size])
+                    for s, e in zip(scores, margins[start:]):
+                        ok.append(np.count_nonzero(s >= np.take(s, inside).min() - e))
+            which[r[np.equal(ok, inside.size)]] = g
         return which
 
     def query_batch(self, U) -> np.ndarray:
         """Answer each row of U with the mean of its selected columns, in index order.
 
         Each distinct selected set is averaged once per call, and a row
-        answered through a certificate (see the class docstring) gets the
-        same bits as its full selection, so answers do not depend on the
-        batch size or the row order.  An invalid row raises ValueError
-        naming the lowest one, before any row is answered.
+        whose margin test holds (see the class docstring) gets the same
+        bits as its full selection, so answers do not depend on the batch
+        size or the row order.  An invalid row raises ValueError naming the
+        lowest one, before any row is answered.
         """
         U = self._rows(U)
         m = U.shape[0]
         answers = np.empty((self.dim, m))
         means: dict[bytes, np.ndarray] = {}
         head = min(m, _HEAD_ROWS)
-        counts = self._exact(U[:head], answers, means)
-        certs = self._certificates(counts, m - head)
-        checks = self._checks(counts, means)
+        sets = self._reusable(self._exact(U[:head], answers, means), means, m - head)
         for start in range(head, m, _CERT_BLOCK):
             rows = U[start : start + _CERT_BLOCK]
-            which = self._certified(rows, certs)
-            for i, (key, _, _) in enumerate(certs):
-                answers[:, start + np.flatnonzero(which == i)] = means[key][:, None]
+            which = self._proved(rows, sets)
+            for g, (mean, _, _) in enumerate(sets):
+                answers[:, start + np.flatnonzero(which == g)] = mean[:, None]
             rest = np.flatnonzero(which < 0)
             exact = np.empty((self.dim, rest.size))
-            self._exact(rows[rest], exact, means, checks)
+            self._exact(rows[rest], exact, means)
             answers[:, start + rest] = exact
         return answers
 

@@ -191,11 +191,11 @@ def is_eps_delta_env(
 
     Every t in T must satisfy dist(t, CH(T minus t)) > delta*diam(W) - tol;
     a singleton T passes the separation clause vacuously.  The default tol
-    is 1e-9*diam(W).
+    is 1e-9*diam(W), or 1e-9 when the points of W coincide.
     """
     T, W, dw = _envelope_args(T, W, diam_w)
     if tol is None:
-        tol = 1e-9 * max(dw, 1.0)
+        tol = 1e-9 * (dw or 1.0)
     return _envelope_witnesses(T, W, params, dw, tol) is not None
 
 
@@ -224,6 +224,8 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     Q only if it passes the full envelope check.  Points whose far set is
     empty are never dropped.  Each point is decided by one solve against its
     far set; the envelope check's coverage weights are the certificate.
+    The default tol is 1e-9*diam(W), or 1e-9 when the points of W coincide,
+    so results scale with the data's units.
     """
     Wm = as_point_matrix(W)
     if Wm.count == 0:
@@ -231,7 +233,7 @@ def find_soft_envelope(W, params: EnvelopeParams, tol: float | None = None) -> E
     param_warnings = params.warn_if_invalid()
     dw = diameter(Wm)
     if tol is None:
-        tol = 1e-9 * max(dw, 1.0)
+        tol = 1e-9 * (dw or 1.0)
     radius = _soft_radius(params.epsilon, dw, tol)
     X = Wm.entries
     n = Wm.count

@@ -314,7 +314,7 @@ def stepwise_envelope(W, params, tol=None):
     n = Wm.count
     dw = explicit_diameter(X)
     if tol is None:
-        tol = 1e-9 * max(dw, 1.0)
+        tol = 1e-9 * (dw or 1.0)
     if dw == 0.0:
         kept, survivors = [0], list(range(n))
     else:

@@ -264,6 +264,23 @@ def test_kolp_equivariance_under_rotation():
     assert e1.max() <= tol and e2.max() <= tol
 
 
+@pytest.fixture(scope="module")
+def unit_scaling_case():
+    M = gen_well_separated_polytope(20, 3, 0.65, seed=1)
+    A = gen_lkp(M, 3000, 0.1, 4e-5, seed=2, validate=False).A.entries
+    return A, kolp_run(A, 3, 0.1, 0.3, 2000, seed=5).vertex_estimates.entries
+
+
+@pytest.mark.parametrize("j", [-33, -40, -300])
+def test_kolp_run_estimates_scale_with_the_data_units(unit_scaling_case, j):
+    # The same data in units 2^j smaller: every tolerance must shrink with
+    # it, so the estimates are exactly 2^j times the unscaled ones.  An
+    # envelope tolerance floored at 1e-9 raised PruneError from j = -32 down.
+    A, unscaled = unit_scaling_case
+    out = kolp_run(np.ldexp(A, j), 3, 0.1, 0.3, 2000, seed=5)
+    assert np.array_equal(out.vertex_estimates.entries, np.ldexp(unscaled, j))
+
+
 def test_kolp_half_fraction_flag():
     inst = small_instance(seed=23, n=900)
     out = kolp_run(inst.A, 3, 0.1, delta=0.3, m=800, seed=24, smoothing_fraction=0.05)

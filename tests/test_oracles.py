@@ -343,35 +343,21 @@ def test_subset_smoothing_batch_matches_single_queries_on_near_ties(seed, d, fra
         assert np.array_equal(X[:, i], oracle.query(u))
 
 
-def _counting(oracle, checked=False):
-    """Count the rows the oracle's certificates answer and the hulls it builds.
+def _counting(oracle):
+    """Count the rows the oracle's margin test proves and the hulls it builds."""
+    counts = {"proved": 0, "hulls": 0}
+    proved, hull_points = oracle._proved, oracle._hull_points
 
-    With ``checked``, also count the rows whose own scores prove their set
-    (``score_checked``).
-    """
-    counts = {"certified": 0, "hulls": 0}
-    certified, hull_points = oracle._certified, oracle._hull_points
-    if checked:
-        counts["score_checked"] = 0
-        score_checked = oracle._score_checked
-
-        def count_score_checked(scores, guesses, members):
-            proved = score_checked(scores, guesses, members)
-            counts["score_checked"] += int(np.count_nonzero(proved))
-            return proved
-
-        oracle._score_checked = count_score_checked
-
-    def count_certified(rows, certs):
-        which = certified(rows, certs)
-        counts["certified"] += int(np.count_nonzero(which >= 0))
+    def count_proved(rows, sets):
+        which = proved(rows, sets)
+        counts["proved"] += int(np.count_nonzero(which >= 0))
         return which
 
     def count_hulls(mask):
         counts["hulls"] += 1
         return hull_points(mask)
 
-    oracle._certified, oracle._hull_points = count_certified, count_hulls
+    oracle._proved, oracle._hull_points = count_proved, count_hulls
     return counts
 
 
@@ -448,7 +434,7 @@ def test_certificate_fallbacks_match_full_selection(case):
         oracle = SubsetSmoothingOracle(A, fraction=fraction)
         counts = _counting(oracle)
         X = oracle.query_batch(U)
-    assert counts["hulls"] > 0 and counts["certified"] > 0
+    assert counts["hulls"] > 0 and counts["proved"] > 0
     _assert_full_selection(oracle, A, U, X)
 
 
@@ -469,18 +455,18 @@ def test_certified_answers_match_single_queries_on_near_ties(seed, fraction):
     for i, u in enumerate(U):
         assert np.array_equal(X[:, i], oracle.query(u))
     if fraction in (0.25, 0.5):
-        assert counts["hulls"] > 0 and counts["certified"] > 0
+        assert counts["hulls"] > 0 and counts["proved"] > 0
 
 
 def test_certificate_margin_covers_rounding_and_range():
-    # One hull point per side, max|A| = 1: a row is certified only when its
+    # One hull point per side, max|A| = 1: a row is proved only when its
     # gap exceeds (4*gamma_3 + 1e-9)*|u|_1, and never where |u|_1*max|A|
     # leaves [2^-900, 2^1000], where scores could underflow or overflow.
     oracle = SubsetSmoothingOracle(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), fraction=0.5)
 
     def certified(u0, c0):
-        cert = (b"", np.array([[1.0], [0.0], [0.0]]), np.array([[c0], [0.0], [0.0]]))
-        return oracle._certified(np.array([[u0, 0.0, 0.0]]), [cert])[0] == 0
+        hulls = (np.zeros(3), np.array([[1.0, c0], [0.0, 0.0], [0.0, 0.0]]), np.array([0]))
+        return oracle._proved(np.array([[u0, 0.0, 0.0]]), [hulls])[0] == 0
 
     assert not certified(1.0, 1.0 - 5e-10)
     assert certified(1.0, 1.0 - 2e-9)
@@ -488,25 +474,27 @@ def test_certificate_margin_covers_rounding_and_range():
     assert certified(1e300, 0.0) and not certified(1e302, 0.0)
 
 
-def _kolp_probes(A, k, fraction, m, seed, checked=False):
+def _kolp_probes(A, k, fraction, m, seed):
     oracle = SubsetSmoothingOracle(svd_project(A, k).projected, fraction)
-    counts = _counting(oracle, checked)
+    counts = _counting(oracle)
     return random_probes(oracle, m, seed=seed).answers.entries, counts
 
 
 def test_certificates_answer_desk_rows_and_skip_wide_and_mixture_data():
-    # kolp-desk's shape (k=3, n=5000, m=10^4) certifies at least 90% of its
-    # rows with the answers of the full selection.  A kolp-wide shape (k=5,
-    # m=1000) builds no hull, and neither does an overlapping two-Gaussian
-    # mixture at m=10^4, whose head rows each select a new set.
+    # kolp-desk's shape (k=3, n=5000, m=10^4) proves at least 90% of its
+    # rows on hull points, with the answers of the full selection; without
+    # hulls, rows are tested on the data's columns, with the same answers.
+    # A kolp-wide shape (k=5, m=1000) builds no hull, and neither does an
+    # overlapping two-Gaussian mixture at m=10^4, whose head rows each
+    # select a new set.
     inst = gen_lkp(gen_well_separated_polytope(50, 3, 0.65, seed=41), 5000, 0.1, 4e-5, seed=42,
                    validate=False)
     X, counts = _kolp_probes(inst.A, 3, 0.1, 10_000, seed=43)
-    assert counts["certified"] >= 9000
+    assert counts["proved"] >= 9000
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_CERT_ROWS", {})
         exact, none = _kolp_probes(inst.A, 3, 0.1, 10_000, seed=43)
-    assert none == {"certified": 0, "hulls": 0}
+    assert none["hulls"] == 0
     assert np.array_equal(X, exact)
 
     wide = gen_lkp(gen_well_separated_polytope(30, 5, 0.65, seed=44), 5000, 0.1, 3e-5, seed=45,
@@ -540,11 +528,12 @@ def _score_check_data(rng, shape, d):
 )
 def test_score_checked_answers_match_full_selection(seed, d, shape, fraction, m, scale, certify):
     # Rows after 8 head rows guess one of the sets that recurred there and
-    # keep it only when their own scores prove it; duplicate columns that
-    # tie across the cut, guesses of a set that is not the selection and
-    # rows whose scores underflow must fall to the full selection, and rows
-    # near 2^1000 in |u|_1*max|A| skip the check.  Every answer, at every
-    # batch size and row order, must be the stable sorted prefix's mean.
+    # keep it only when the margin test on its hull points (``certify``) or
+    # on the data's columns proves it; duplicate columns that tie across the
+    # cut, guesses of a set that is not the selection and rows whose scores
+    # underflow must fall to the full selection, and rows near 2^1000 in
+    # |u|_1*max|A| make no guess.  Every answer, at every batch size and row
+    # order, must be the stable sorted prefix's mean.
     rng = np.random.default_rng(seed)
     A = _score_check_data(rng, shape, d)
     U = rng.standard_normal((m, d))
@@ -565,30 +554,45 @@ def test_score_checked_answers_match_full_selection(seed, d, shape, fraction, m,
         assert np.array_equal(oracle.query_batch(U[perm]), X[:, perm])
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
-    levels=st.integers(1, 6),
+    levels=st.integers(1, 20),
+    offset=st.sampled_from([0, 2**29, 2**30, 2**33]),
     size=st.integers(1, 40),
     true_guess=st.booleans(),
+    top=st.sampled_from([-902, -901, -900, -899, 0, 999, 1000, 1001]),
+    sign=st.sampled_from([1.0, -1.0]),
 )
-def test_score_check_proves_only_the_selection_without_a_tie_at_the_cut(seed, n, levels, size, true_guess):
-    # A guess is proved exactly when it is the stable selection and every
-    # column outside it scores strictly below every column in it.
+def test_score_check_proves_only_the_selection_without_a_tie_at_the_cut(
+    seed, n, levels, offset, size, true_guess, top, sign
+):
+    # The margin test on the data's columns: integer scores, many tied at
+    # the cut, and a power-of-two row putting |u|_1*max|A| in [2^top,
+    # 2^(top+1)), so every score is exact.  A guess is proved only when it
+    # is the stable selection and no outside column scores within the
+    # margin of min(S), and only inside [2^-900, 2^1000]; it is proved
+    # whenever those hold with the margin 1% to spare.  The offset makes
+    # the margin (about 1e-9*max|A|) span 0, 1 or several integer gaps.
     rng = np.random.default_rng(seed)
     size = min(size, n)
-    scores = rng.integers(-levels, levels + 1, size=(1, n)).astype(np.float64)
-    oracle = SubsetSmoothingOracle(np.zeros((1, n)), fraction=size / n)
+    oracle = SubsetSmoothingOracle(offset + rng.integers(-levels, levels + 1, size=(1, n)), fraction=size / n)
     assert oracle.subset_size == size
-    top = stable_top_indices(scores[0], size)
-    guess = top if true_guess else np.sort(rng.choice(n, size, replace=False))
-    outside = np.delete(scores[0], guess)
-    expected = np.array_equal(guess, top) and not (outside >= scores[0, guess].min()).any()
-    guesses = np.array([0])
-    assert oracle._score_checked(scores, guesses, [guess])[0] == expected
-    assert guesses[0] == (0 if expected else -1)
-    assert not oracle._score_checked(scores, np.array([-1]), [guess])[0]
+    A = oracle._data.entries
+    u = np.array([[sign * 2.0 ** (top - math.frexp(oracle._max_abs)[1] + 1)]])
+    scale = abs(u[0, 0]) * oracle._max_abs
+    scores = u[0, 0] * A[0]
+    best = stable_top_indices(scores, size)
+    guess = best if true_guess else np.sort(rng.choice(n, size, replace=False))
+    gap = scores[guess].min() - np.delete(scores, guess).max(initial=-np.inf)
+    margin = oracle._margin * scale
+    proved = oracle._proved(u, [(np.zeros(1), A, guess)])[0] == 0
+    clear = 2.0**-900 <= scale <= 2.0**1000 and np.array_equal(guess, best)
+    if proved:
+        assert clear and gap > 0.99 * margin
+    else:
+        assert not (clear and gap > 1.01 * margin)
 
 
 def test_duplicates_tying_across_the_cut_are_never_score_checked():
@@ -603,45 +607,45 @@ def test_duplicates_tying_across_the_cut_are_never_score_checked():
         oracle = SubsetSmoothingOracle(A, fraction=4 / 30)
         head = oracle._exact(U[: oracles._HEAD_ROWS], np.empty((3, oracles._HEAD_ROWS)), {})
         assert max(head.values()) >= 2  # the head's sets recur, so later rows guess
-        counts = _counting(oracle, checked=True)
+        counts = _counting(oracle)
         X = oracle.query_batch(U)
-    assert counts == {"certified": 0, "hulls": 0, "score_checked": 0}
+    assert counts == {"proved": 0, "hulls": 0}
     _assert_full_selection(oracle, A, U, X)
 
 
 def test_score_check_skips_rows_whose_scores_could_overflow():
     # Past |u|_1*max|A| = 2^1000 a score could be NaN (inf - inf), which
     # np.partition ranks above every number and >= below it, so such rows
-    # are never score-checked, even when their scores happen to be finite
-    # (here the head's direction times 2^1000).
+    # make no guess and are never proved, even when their scores happen to
+    # be finite (here the head's direction times 2^1000).
     A = np.array([[1.0, 1.1, 1.2, 1.3, 1.4] + [-1.0] * 5 + [0.9], [0.5] * 5 + [-0.5] * 5 + [-0.9]])
     oracle = SubsetSmoothingOracle(A, fraction=5 / 11)
     U = np.ones((oracles._HEAD_ROWS + 6, 2))
     U[-1] *= 2.0**1000
-    counts = _counting(oracle, checked=True)
+    counts = _counting(oracle)
     X = oracle.query_batch(U)
-    assert counts["score_checked"] == 5
+    assert counts["proved"] == 5
     assert np.array_equal(X, np.repeat(A[:, :5].mean(axis=1, keepdims=True), U.shape[0], axis=1))
 
 
 def test_score_check_answers_wide_rows_and_skips_the_mixture():
     # A kolp-wide shape (k=5, m=1000), whose head sets recur but build no
-    # hull, proves at least 80% of its post-head rows from their own
-    # scores, with the answers of the full selection.  The overlapping
-    # two-Gaussian mixture, whose head rows each select a new set, checks
+    # hull, proves at least 80% of its post-head rows on the data's
+    # columns, with the answers of the full selection.  The overlapping
+    # two-Gaussian mixture, whose head rows each select a new set, proves
     # no row.
     wide = gen_lkp(gen_well_separated_polytope(30, 5, 0.65, seed=44), 5000, 0.1, 3e-5, seed=45,
                    validate=False)
-    X, counts = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46, checked=True)
+    X, counts = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46)
     assert counts["hulls"] == 0
-    assert counts["score_checked"] >= 0.8 * (1000 - oracles._HEAD_ROWS)
+    assert counts["proved"] >= 0.8 * (1000 - oracles._HEAD_ROWS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles.SubsetSmoothingOracle, "_checks", lambda self, counts, means: None)
-        exact, none = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46, checked=True)
-    assert none["score_checked"] == 0
+        mp.setattr(oracles.SubsetSmoothingOracle, "_reusable", lambda self, counts, means, left: [])
+        exact, none = _kolp_probes(wide.A, 5, 0.1, 1000, seed=46)
+    assert none["proved"] == 0
     assert np.array_equal(X, exact)
     mix = gen_two_gaussian_mixture(20, 10_000, v_norm=1.0, seed=47, validate=False)
-    assert _kolp_probes(mix.A, 2, mix.w0, 10_000, seed=48, checked=True)[1]["score_checked"] == 0
+    assert _kolp_probes(mix.A, 2, mix.w0, 10_000, seed=48)[1]["proved"] == 0
 
 
 def test_subset_smoothing_batch_errors_name_the_row():

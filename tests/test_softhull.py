@@ -209,6 +209,16 @@ def test_find_envelope_coincident_points():
     assert res.found and res.q_indices == (0,)
 
 
+def test_envelope_check_on_coincident_points_keeps_an_absolute_tolerance():
+    # diam(W) = 0 gives no scale, so the default tolerance stays 1e-9: a
+    # candidate 5e-10 from the points covers them and one 2e-9 away does not.
+    W = np.tile(np.array([[1.5], [-2.0], [0.3]]), (1, 4))
+    params = EnvelopeParams(0.01, 0.1, 0.02)
+    assert is_eps_delta_env(W[:, :1] + [[5e-10], [0.0], [0.0]], W, params)
+    assert not is_eps_delta_env(W[:, :1] + [[2e-9], [0.0], [0.0]], W, params)
+    assert not is_eps_delta_env(W[:, :2], W, params)
+
+
 def test_find_envelope_tiled_float_columns():
     # equal float columns must measure diam(W) = 0 exactly: with a positive
     # diameter every far set holds copies of the point, and all are pruned
