@@ -17,7 +17,7 @@ import polylearn as pl
 def main():
     d = 10
     K = pl.example1_segment(d)
-    oracle = pl.exact_oracle(K)
+    oracle = pl.ExactOracle(K)
 
     a = np.zeros(d)
     a[1] = 0.5  # distance 0.5 from the unit segment: delta = 0.5

@@ -18,7 +18,7 @@ import polylearn as pl
 def main():
     d = 200
     q = 5000
-    oracle = pl.needle_oracle(d)
+    oracle = pl.NeedleOracle(d)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((q, d))
     G /= np.linalg.norm(G, axis=1, keepdims=True)

@@ -49,7 +49,7 @@ from .datagen import (
 from .geometry import PointMatrix, VPolytope, _pairwise_distances, well_separation
 from .kolp import audit_projected_oracle, kolp_run
 from .learner import hausdorff_learn, list_learn
-from .oracles import exact_oracle, noisy_oracle
+from .oracles import ExactOracle, NoisyOracle
 from .rsh import (
     SeparationVerdict,
     estimate_rsh_probability,
@@ -201,8 +201,8 @@ def _query_point(args, K: VPolytope) -> np.ndarray:
 
 def _make_oracle(args, K: VPolytope):
     if args.oracle == "exact":
-        return exact_oracle(K)
-    return noisy_oracle(K, args.epsilon, args.seed + 1)
+        return ExactOracle(K)
+    return NoisyOracle(K, args.epsilon, args.seed + 1)
 
 
 def _load_instance_dir(path) -> LkpInstance:

@@ -156,6 +156,8 @@ class ExactOracle(OptOracle):
     """Zero-error oracle: returns the vertex maximizing u.v.
 
     Ties break toward the lowest vertex index, so answers are deterministic.
+    ``query`` is a one-row batch, so a row's answer does not depend on how
+    it is asked.
     """
 
     def __init__(self, K: VPolytope):
@@ -168,11 +170,8 @@ class ExactOracle(OptOracle):
     def reference_diameter(self) -> float:
         return self._diam
 
-    def _vertex(self, u: np.ndarray) -> np.ndarray:
-        return self._K.vertices.column(int(np.argmax(u @ self._K.vertices.entries)))
-
     def query(self, u) -> np.ndarray:
-        return self._vertex(_check_unit(u, self.dim))
+        return self._answer_rows(_check_unit(u, self.dim)[None])[0]
 
     def _unit_rows(self, U) -> np.ndarray:
         """U as contiguous m x dim rows, each checked as ``query`` checks it.
@@ -192,8 +191,9 @@ class ExactOracle(OptOracle):
     def _answer_rows(self, U: np.ndarray) -> np.ndarray:
         """The vertex maximizing u.v for each checked row u of U, as the rows of an m x dim array.
 
-        One matrix-vector product per row, as ``query`` scores: a single
-        ``U @ V`` product rounds differently and could move near-ties.
+        One matrix-vector product per row, so the bits do not depend on the
+        other rows: a single ``U @ V`` product rounds differently and could
+        move near-ties.
         """
         V = self._K.vertices.entries
         return np.ascontiguousarray(V.T[np.matmul(U[:, None, :], V)[:, 0, :].argmax(axis=1)])
@@ -224,12 +224,12 @@ class NoisyOracle(ExactOracle):
     8 halvings do not bring it back, the oracle silently returns the exact
     vertex, which meets the contract at any epsilon.
 
-    ``query_batch`` gives each row the bits ``query`` gives it: one hash per
-    row, Box-Muller and the re-check on the whole block, every dot product
-    and norm as one BLAS dot per row (``_row_dots``), and the radius
-    ``x^(1/d)`` per row with Python's ``pow``, since numpy's vectorized
-    power can differ in the last bit.  The re-check halves only the rows
-    still outside the contract.
+    A block of rows is answered at once, and each row's bits do not depend on
+    the block: one hash per row, Box-Muller and the re-check on the whole
+    block, every dot product and norm as one BLAS dot per row
+    (``_row_dots``), and the radius ``x^(1/d)`` per row with Python's
+    ``pow``, since numpy's vectorized power can differ in the last bit.  The
+    re-check halves only the rows still outside the contract.
     """
 
     def __init__(self, K: VPolytope, epsilon: float, seed: int):
@@ -241,47 +241,21 @@ class NoisyOracle(ExactOracle):
         self.advertised_epsilon = float(epsilon)
         self._seed_bytes = int(seed).to_bytes(8, "little", signed=True)
 
-    def _perturbation(self, u: np.ndarray) -> np.ndarray:
-        h = (self.dim + 1) // 2
-        words = np.frombuffer(hashlib.shake_256(u.tobytes() + self._seed_bytes).digest(16 * h + 8), "<u8")
-        x = ((words >> 12) + 0.5) * 2.0**-52  # strictly inside (0, 1), so r > 0 and g != 0
-        r = np.sqrt(-2.0 * np.log(x[:h]))
-        g = (r * np.exp(2j * np.pi * x[h : 2 * h])).view(np.float64)[: self.dim]  # Box-Muller pairs
-        scale = float(x[-1]) ** (1.0 / self.dim) * self.advertised_epsilon * self._diam * (1.0 - 1e-12)
-        return g * (scale / math.sqrt(g @ g))
-
     def _perturbations(self, U: np.ndarray) -> np.ndarray:
-        """``_perturbation`` of each row of U, as the rows of an m x dim array."""
+        """The perturbation of each row of U, as the rows of an m x dim array."""
         h = (self.dim + 1) // 2
         size = 16 * h + 8
         digests = b"".join(hashlib.shake_256(u.tobytes() + self._seed_bytes).digest(size) for u in U)
         words = np.frombuffer(digests, "<u8").reshape(U.shape[0], 2 * h + 1)
-        x = ((words >> 12) + 0.5) * 2.0**-52
+        x = ((words >> 12) + 0.5) * 2.0**-52  # strictly inside (0, 1), so r > 0 and g != 0
         r = np.sqrt(-2.0 * np.log(x[:, :h]))
-        g = (r * np.exp(2j * np.pi * x[:, h : 2 * h])).view(np.float64)[:, : self.dim]
+        g = (r * np.exp(2j * np.pi * x[:, h : 2 * h])).view(np.float64)[:, : self.dim]  # Box-Muller pairs
         radius = np.array([v ** (1.0 / self.dim) for v in x[:, -1].tolist()])
         scale = radius * self.advertised_epsilon * self._diam * (1.0 - 1e-12)
         return g * (scale / np.sqrt(_row_dots(g, g)))[:, None]
 
-    def query(self, u) -> np.ndarray:
-        u = _check_unit(u, self.dim)
-        exact = self._vertex(u)
-        if self.advertised_epsilon == 0.0 or self._diam == 0.0:
-            return exact
-        p = self._perturbation(u)
-        budget = self.advertised_epsilon * self._diam
-        best_score = float(u @ exact)
-        for _ in range(8):
-            x = exact + p
-            ok_containment = float(np.linalg.norm(p)) <= budget
-            ok_optimality = float(u @ x) >= best_score - budget
-            if ok_containment and ok_optimality:
-                return x
-            p *= 0.5
-        return exact
-
     def _answer_rows(self, U: np.ndarray) -> np.ndarray:
-        """``query``'s answer to each checked row of U, as the rows of an m x dim array."""
+        """The perturbed vertex for each checked row of U, as the rows of an m x dim array."""
         exact = super()._answer_rows(U)
         if self.advertised_epsilon == 0.0 or self._diam == 0.0:
             return exact

@@ -39,7 +39,7 @@ __all__ = [
 
 _WILSON_Z99 = 2.5758293035489004  # 99.5 percentile of the standard normal
 _BLOCK = 100_000  # samples drawn per step of estimate_rsh_probability
-_QUERY_BLOCK = 1024  # directions per draw of separate_via_opt; any size gives the same queries
+_QUERY_BLOCK = 1024  # separate_via_opt's largest block; blocks grow 1, 2, 4, ... up to it
 
 
 def margin(u, a, K: VPolytope) -> float:
@@ -168,7 +168,8 @@ def estimate_rsh_probability(
 
         u.a - max_y u.y >= |u| * delta * diam(K) * t(k, m).
 
-    Precondition: dist(a, K) >= delta * diam(K) (checked; natural log is
+    Precondition: dist(a, K) >= delta * diam(K), checked up to a slack of
+    2*tol*diam(K), relative so that it holds in any units (natural log is
     used throughout, and k = 1 degenerates to a zero threshold).
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
@@ -178,7 +179,7 @@ def estimate_rsh_probability(
         raise ValueError("trials must be positive")
     delta_k = K.diameter()
     dist, _ = dist_to_hull(a, K.vertices, tol=tol)
-    slack = 2.0 * tol * max(delta_k, 1.0)
+    slack = 2.0 * tol * delta_k
     if dist < delta * delta_k - slack:
         ratio = dist / delta_k if delta_k > 0 else math.inf
         raise ValueError(
@@ -259,6 +260,12 @@ def separate_via_opt(
     advertised error <= delta/(100*sqrt(d)) for the declared separator to be
     genuine (a warning is emitted when the advertised error is larger).
     delta outside (0, 1] raises ValueError before any query.
+
+    Directions are drawn and answered by ``query_batch`` in blocks of 1, 2,
+    4, ... up to 1024, then scanned in order, so the result is that of one
+    query at a time.  An oracle that logs its queries sees the rest of the
+    separating direction's block too: up to min(queries_used, 1024) - 1
+    directions past it.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if a.shape[0] != d or oracle.dim != d:
@@ -278,13 +285,17 @@ def separate_via_opt(
     delta_k = oracle.reference_diameter
     threshold = delta * delta_k / (11.0 * math.sqrt(d))
     rng = np.random.default_rng(seed)
-    for start in range(0, num_queries, _QUERY_BLOCK):
-        U = _unit_directions(rng, min(_QUERY_BLOCK, num_queries - start), d)
-        for i, u in enumerate(U, start + 1):
-            x = oracle.query(u)
+    start, block = 0, 1
+    while start < num_queries:
+        U = _unit_directions(rng, min(block, num_queries - start), d)
+        # Contiguous rows: a strided answer's dot product can round differently.
+        X = np.ascontiguousarray(oracle.query_batch(U).T)
+        for i, (u, x) in enumerate(zip(U, X), start + 1):
             observed = float(u @ a - u @ x)
             if observed > threshold:
                 return SeparationResult(SeparationVerdict.SEPARATED, u.copy(), observed, i)
+        start += U.shape[0]
+        block = min(2 * block, _QUERY_BLOCK)
     return SeparationResult(SeparationVerdict.INSIDE_SOFTENED, None, None, num_queries)
 
 

@@ -168,8 +168,8 @@ def _envelope_witnesses(
     covered, Lam = _soft_hull_cover(W, T, params.epsilon, dw, tol)
     if not covered.all():
         return None
-    # separation clause: dist(t, CH(T minus t)) > delta*diam(W) - tol; any t
-    # within delta*diam - tol of the others' hull fails it.
+    # separation clause: t passes when dist(t, CH(T minus t)) > radius + tol,
+    # that is > max(delta*diam(W) - tol, tol).
     radius = max(params.delta * dw - 2.0 * tol, 0.0)
     if T.shape[1] > 1 and any(
         dist <= radius + tol for dist in _leave_one_out(T, 1e-12, atol=tol, radius=radius)
@@ -189,8 +189,9 @@ def is_eps_delta_env(
 ) -> bool:
     """Envelope check: soft-hull coverage plus pairwise hull separation.
 
-    Every t in T must satisfy dist(t, CH(T minus t)) > delta*diam(W) - tol;
-    a singleton T passes the separation clause vacuously.  The default tol
+    Every t in T must satisfy dist(t, CH(T minus t)) > max(delta*diam(W) -
+    tol, tol), so coincident members fail even when delta*diam(W) <= tol; a
+    singleton T passes the separation clause vacuously.  The default tol
     is 1e-9*diam(W), or 1e-9 when the points of W coincide.
     """
     T, W, dw = _envelope_args(T, W, diam_w)

@@ -8,13 +8,15 @@ implementation; the subset selection sorts where the oracle selects; the
 margin sampler draws every coordinate of u where the library draws only those
 the margin depends on; ``explicit_diameter`` loops over pairs.
 ``full_scan_hausdorff``, ``stepwise_envelope``, ``per_query_separation``,
-``pairwise_norm_needles``, ``ListNeedleLog`` and ``row_max_margins`` are the
-exception: they are the library's own earlier procedures, kept to pin that the
-restructured paths return the same bits.
+``serial_separation``, ``single_query_answer``, ``pairwise_norm_needles``,
+``ListNeedleLog`` and ``row_max_margins`` are the exception: they are the
+library's own earlier procedures, kept to pin that the restructured paths
+return the same bits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -395,6 +397,60 @@ def per_query_separation(a, oracle, delta: float, d: int, num_queries: int, seed
         if observed > threshold:
             return u, observed, i + 1
     return None, None, num_queries
+
+
+def serial_separation(a, oracle, delta: float, d: int, num_queries: int, seed: int, answer):
+    """``separate_via_opt`` asking one query at a time, ``answer(oracle, u)``, from 1024-row draws.
+
+    No direction past the separating one is asked.  Returns (separator,
+    margin, queries_used); separator and margin are None when no query
+    separates.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    threshold = delta * oracle.reference_diameter / (11.0 * math.sqrt(d))
+    rng = np.random.default_rng(seed)
+    for start in range(0, num_queries, 1024):
+        G = rng.standard_normal((min(1024, num_queries - start), d))
+        for i, u in enumerate(G / np.linalg.norm(G, axis=1, keepdims=True), start + 1):
+            observed = float(u @ a - u @ answer(oracle, u))
+            if observed > threshold:
+                return u.copy(), observed, i
+    return None, None, num_queries
+
+
+def single_query_perturbation(oracle, u: np.ndarray) -> np.ndarray:
+    """A ``NoisyOracle``'s perturbation of one unit direction, from one hash and scalar arithmetic."""
+    d = oracle.dim
+    h = (d + 1) // 2
+    words = np.frombuffer(hashlib.shake_256(u.tobytes() + oracle._seed_bytes).digest(16 * h + 8), "<u8")
+    x = ((words >> 12) + 0.5) * 2.0**-52
+    r = np.sqrt(-2.0 * np.log(x[:h]))
+    g = (r * np.exp(2j * np.pi * x[h : 2 * h])).view(np.float64)[:d]  # Box-Muller pairs
+    scale = float(x[-1]) ** (1.0 / d) * oracle.advertised_epsilon * oracle.reference_diameter * (1.0 - 1e-12)
+    return g * (scale / math.sqrt(g @ g))
+
+
+def single_query_answer(oracle, u, perturbation=single_query_perturbation) -> np.ndarray:
+    """An ``ExactOracle`` or ``NoisyOracle``'s answer to one unit direction u, asked alone.
+
+    The vertex maximizing one matrix-vector product, lowest index on ties;
+    with a positive error and diameter, plus ``perturbation(oracle, u)``,
+    halved up to 8 times until both oracle clauses hold, else the vertex.
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64).ravel()
+    V = oracle._K.vertices.entries
+    exact = V[:, int(np.argmax(u @ V))].copy()
+    if oracle.advertised_epsilon == 0.0 or oracle.reference_diameter == 0.0:
+        return exact
+    p = perturbation(oracle, u)
+    budget = oracle.advertised_epsilon * oracle.reference_diameter
+    best_score = float(u @ exact)
+    for _ in range(8):
+        x = exact + p
+        if float(np.linalg.norm(p)) <= budget and float(u @ x) >= best_score - budget:
+            return x
+        p = p * 0.5
+    return exact
 
 
 def pairwise_norm_needles(queries, dim: int, count: int, seed: int) -> np.ndarray:

@@ -27,7 +27,14 @@ from polylearn import (
     random_probes,
     svd_project,
 )
-from reference import ListNeedleLog, pairwise_norm_needles, stable_top_indices
+import reference
+from reference import (
+    ListNeedleLog,
+    pairwise_norm_needles,
+    single_query_answer,
+    single_query_perturbation,
+    stable_top_indices,
+)
 
 
 def _unit(rng, d):
@@ -169,7 +176,7 @@ def test_noisy_perturbation_is_uniform_in_the_ball(d):
     budget = eps * oracle.reference_diameter
     U = rng.standard_normal((4000, d))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    P = np.array([oracle._perturbation(u) for u in U])
+    P = oracle._perturbations(U)
     norms = np.linalg.norm(P, axis=1)
     assert norms.max() <= budget * (1.0 - 1e-12)
     # Uniform in the ball: (|p|/budget)^d is U(0, 1), and the first coordinate
@@ -198,7 +205,7 @@ def test_noisy_perturbation_extreme_hash_words_stay_inside(monkeypatch, byte):
     monkeypatch.setattr(oracles, "hashlib", types.SimpleNamespace(shake_256=ExtremeHash))
     for d in (2, 3, 10):
         oracle = noisy_oracle(VPolytope(np.eye(d)), 0.1, seed=0)
-        p = oracle._perturbation(np.ones(d) / math.sqrt(d))
+        p = oracle._perturbations(np.ones((1, d)) / math.sqrt(d))[0]
         assert np.isfinite(p).all()
         assert 0.0 < np.linalg.norm(p) <= 0.1 * oracle.reference_diameter
         assert lengths[-1] == 8 * (2 * math.ceil(d / 2) + 1)
@@ -679,7 +686,7 @@ def test_noisy_oracle_fallback_answer_meets_contract():
     K = VPolytope(rng.standard_normal((3, 5)))
     eps = 0.01
     oracle = noisy_oracle(K, eps, seed=16)
-    oracle._perturbation = lambda u: -1e3 * eps * K.diameter() * u
+    oracle._perturbations = lambda U: -1e3 * eps * K.diameter() * U
     for _ in range(20):
         u = _unit(rng, 3)
         x = oracle.query(u)
@@ -692,10 +699,12 @@ def _unit_rows(rng, m, d):
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
-def _assert_batch_equals_queries(oracle, U):
+def _assert_batch_equals_queries(oracle, U, perturbation=single_query_perturbation):
+    # Against single queries and against the per-query reference answer.
     X = oracle.query_batch(U)
     assert X.shape == (oracle.dim, len(U)) and X.dtype == np.float64
     assert X.tobytes() == np.column_stack([oracle.query(u) for u in U]).tobytes()
+    assert X.tobytes() == np.column_stack([single_query_answer(oracle, u, perturbation) for u in U]).tobytes()
     return X
 
 
@@ -761,7 +770,9 @@ def test_noisy_batch_equals_single_queries_on_extreme_hash_words(monkeypatch):
             def digest(self, n, byte=byte):
                 return bytes([byte]) * n
 
-        monkeypatch.setattr(oracles, "hashlib", types.SimpleNamespace(shake_256=ExtremeHash))
+        extreme = types.SimpleNamespace(shake_256=ExtremeHash)
+        monkeypatch.setattr(oracles, "hashlib", extreme)
+        monkeypatch.setattr(reference, "hashlib", extreme)
         rng = np.random.default_rng(byte)
         for d in (1, 2, 3, 10):
             K = VPolytope(rng.standard_normal((d, 4)))
@@ -776,8 +787,7 @@ def test_noisy_batch_halves_and_falls_back_like_single_queries(monkeypatch):
     def power(u):
         return int(np.frombuffer(u.tobytes(), np.uint8).sum()) % 12
 
-    single, batch = NoisyOracle._perturbation, NoisyOracle._perturbations
-    monkeypatch.setattr(NoisyOracle, "_perturbation", lambda self, u: single(self, u) * 2.0 ** power(u))
+    batch = NoisyOracle._perturbations
     monkeypatch.setattr(
         NoisyOracle,
         "_perturbations",
@@ -787,7 +797,9 @@ def test_noisy_batch_halves_and_falls_back_like_single_queries(monkeypatch):
     K = VPolytope(rng.standard_normal((6, 5)))
     U = _unit_rows(rng, 300, 6)
     oracle = noisy_oracle(K, 0.05, seed=18)
-    X = _assert_batch_equals_queries(oracle, U)
+    X = _assert_batch_equals_queries(
+        oracle, U, lambda oracle, u: single_query_perturbation(oracle, u) * 2.0 ** power(u)
+    )
     exact = exact_oracle(K).query_batch(U)
     fell_back = np.all(X == exact, axis=0)
     j = np.array([power(u) for u in U])

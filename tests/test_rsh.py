@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from polylearn import (
+    NeedleOracle,
+    SubsetSmoothingOracle,
     VPolytope,
     SeparationVerdict,
     estimate_rsh_probability,
@@ -25,7 +27,13 @@ from polylearn import (
 )
 from polylearn import rsh
 from polylearn.rsh import _normalized_margins, _span_coordinates
-from reference import full_dimensional_margin_samples, per_query_separation, row_max_margins
+from reference import (
+    full_dimensional_margin_samples,
+    per_query_separation,
+    row_max_margins,
+    serial_separation,
+    single_query_answer,
+)
 
 
 def test_margin_vertex_never_positive():
@@ -87,6 +95,20 @@ def test_estimate_rejects_near_point():
     a[1] = 0.5  # only delta = 0.5 away, request delta = 1
     with pytest.raises(ValueError, match="too close"):
         estimate_rsh_probability(K, a, delta=1.0, m=20, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("scale", [-30, -300])
+def test_estimate_rejects_near_point_below_unit_scale(scale):
+    # The distance check's slack is relative to diam(K): a vertex of a small
+    # segment is as close to it as at unit scale, and a point at distance
+    # delta*diam(K) still passes.
+    K = VPolytope(example1_segment(10).vertices.entries * 2.0**scale)
+    with pytest.raises(ValueError, match="too close"):
+        estimate_rsh_probability(K, K.vertices.column(1), delta=0.5, m=10, trials=10, seed=0)
+    far = np.zeros(10)
+    far[1] = 0.5 * 2.0**scale
+    est = estimate_rsh_probability(K, far, delta=0.5, m=10, trials=10, seed=0)
+    assert est.trials == 10
 
 
 def test_estimate_negative_control_inside_softened():
@@ -296,7 +318,9 @@ def test_separate_far_point_and_verify_margin():
 @pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0, 1.5, float("inf")])
 def test_separate_rejects_delta_outside_unit_interval_before_querying(delta):
     oracle = exact_oracle(example1_segment(10))
-    with mock.patch.object(oracle, "query", side_effect=AssertionError("queried")):
+    with mock.patch.object(oracle, "query", side_effect=AssertionError("queried")), mock.patch.object(
+        oracle, "query_batch", side_effect=AssertionError("queried")
+    ):
         with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1], got {delta}")):
             separate_via_opt(np.zeros(10), oracle, delta, 10, 10, seed=1)
 
@@ -340,6 +364,66 @@ def test_separation_matches_per_query_draws(seed, d, k, offset, delta, num_queri
         assert np.max(np.abs(res.separator - u)) <= 1e-15
         scale = np.abs(a).sum() + np.abs(K.vertices.entries).sum(axis=0).max()
         assert abs(res.margin - observed) <= 2.0 * eps * oracle.reference_diameter + 1e-14 * scale
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 12),
+    k=st.integers(1, 5),
+    offset=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+    delta=st.floats(0.1, 1.0),
+    num_queries=st.integers(1, 3000),
+    kind=st.sampled_from(["exact", "noisy", "smoothing"]),
+)
+def test_separation_equals_one_query_at_a_time(seed, d, k, offset, delta, num_queries, kind):
+    # Blocks answered by query_batch give the bits of the loop that asked
+    # each drawn direction alone, at inside, boundary and far points and
+    # budgets that end mid-block.  Subset smoothing returns its batch as
+    # dim x m columns, whose strided rows would round the scan's dot
+    # products differently from its single answers.
+    rng = np.random.default_rng(seed)
+    K = VPolytope(rng.standard_normal((d, k)))
+    a = K.vertices.entries[:, 0] + offset * rng.standard_normal(d)
+    if kind == "smoothing":
+        oracle = SubsetSmoothingOracle(rng.standard_normal((d, 4 * k)), 0.25)
+        answer = SubsetSmoothingOracle.query
+    else:
+        oracle = noisy_oracle(K, 1e-4, seed=seed) if kind == "noisy" else exact_oracle(K)
+        answer = single_query_answer
+    res = separate_via_opt(a, oracle, delta, d, num_queries, seed=seed)
+    u, observed, used = serial_separation(a, oracle, delta, d, num_queries, seed, answer)
+    assert res.queries_used == used
+    if u is None:
+        assert res.verdict is SeparationVerdict.INSIDE_SOFTENED and res.separator is None
+    else:
+        assert res.verdict is SeparationVerdict.SEPARATED
+        assert res.separator.tobytes() == u.tobytes() and res.margin == observed
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(4, 16),
+    reach=st.floats(0.0, 2.0),
+    num_queries=st.integers(1, 3000),
+)
+def test_needle_sees_at_most_the_separating_block(seed, d, reach, num_queries):
+    # A logging oracle sees the rest of the separating direction's block:
+    # blocks of 1, 2, 4, ..., 1024 end at most queries_used - 1 and 1023
+    # directions past it.  Without a separation it sees the whole budget.
+    # Zero answers separate a = reach*t*e_1 exactly when u_1 > 1/reach.
+    threshold = 0.5 * 2.0 / (11.0 * math.sqrt(d))
+    a = np.zeros(d)
+    a[0] = reach * threshold
+    needle = NeedleOracle(d)
+    with pytest.warns(RuntimeWarning, match="exceeds"):
+        res = separate_via_opt(a, needle, 0.5, d, num_queries, seed=seed)
+    used = res.queries_used
+    if res.verdict is SeparationVerdict.SEPARATED:
+        assert used <= needle.query_count <= min(2 * used - 1, used + 1023, num_queries)
+    else:
+        assert used == needle.query_count == num_queries
 
 
 def test_query_budget_formula():
